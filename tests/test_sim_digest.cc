@@ -480,5 +480,64 @@ TEST(SimDigest, SeededConfigurationsMatchPinnedResults) {
   }
 }
 
+// Balanced chains: a two-stage GEMM pipeline whose layer costs make many
+// shard ready times land within an ulp of the completion of the task
+// ahead of them on the same chiplet — the kTimeEps window in which the
+// dispatch decision depends on which of two nearly equal instants is
+// handled first. One digest per package folds 24 runs: three placements,
+// two stream lengths, burst and periodic admission, both NoP modes.
+struct BalancedPin {
+  int rows;
+  int cols;
+  std::uint64_t digest;
+};
+
+constexpr BalancedPin kBalancedPins[] = {
+    {1, 2, 0x239c33a1349efa4bull},
+    {1, 3, 0x3ad9f74fae1e26c1ull},
+    {1, 4, 0xea90fd689d1f22d4ull},
+    {2, 2, 0x2f4c600208864511ull},
+    {2, 3, 0x9b0c7f6745debee3ull},
+    {2, 4, 0xa32c6ea3cd5088a3ull},
+};
+
+TEST(SimDigest, BalancedChainsMatchPinnedResults) {
+  PerceptionPipeline pipe;
+  Model a;
+  a.name = "A";
+  a.layers = {gemm("a0", 4096, 64, 64), gemm("a1", 2048, 64, 64)};
+  Model b;
+  b.name = "B";
+  b.layers = {gemm("b0", 4096, 64, 64)};
+  pipe.stages.push_back(Stage{"S0", {{a, false}}});
+  pipe.stages.push_back(Stage{"S1", {{b, false}}});
+
+  ASSERT_EQ(std::size(kBalancedPins), 6u) << "pin table incomplete";
+  for (const BalancedPin& pin : kBalancedPins) {
+    const PackageConfig pkg = make_simba_package(pin.rows, pin.cols);
+    Digest d;
+    for (int offset = 0; offset < 3; ++offset) {
+      Schedule sched(pipe, pkg);
+      for (int i = 0; i < sched.num_items(); ++i) {
+        sched.assign(i, (i + offset) % pkg.num_chiplets());
+      }
+      for (const int frames : {8, 16}) {
+        for (const double interval : {0.0, 5e-5}) {
+          for (const NopMode mode : {NopMode::kAnalytical, NopMode::kContended}) {
+            SimOptions opt;
+            opt.frames = frames;
+            opt.frame_interval_s = interval;
+            opt.nop_mode = mode;
+            d.add(digest_of(simulate_schedule(sched, opt)));
+          }
+        }
+      }
+    }
+    EXPECT_EQ(d.value(), pin.digest)
+        << "pin row: {" << pin.rows << ", " << pin.cols << ", 0x" << std::hex
+        << d.value() << "ull},";
+  }
+}
+
 }  // namespace
 }  // namespace cnpu
