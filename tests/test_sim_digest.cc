@@ -16,8 +16,11 @@
 // to the event loop that is meant to be behaviour-preserving must pass
 // this suite unedited. Each configuration runs twice: one-shot through
 // simulate_schedule, and on one engine shared by all configurations (the
-// warm path, with cross-configuration pollution). A mismatch prints the
-// replacement table row; re-pin only for an intended change of results.
+// warm path, with cross-configuration pollution). Two further tests pin
+// pipelines whose shard ready times tie chiplet completions to within
+// kTimeEps, where the dispatch decision depends on which of two nearly
+// equal instants is handled first. A mismatch prints the replacement
+// table row; re-pin only for an intended change of results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +34,7 @@
 #include "arch/package.h"
 #include "core/evaluator.h"
 #include "core/throughput_matching.h"
+#include "dataflow/cost_model.h"
 #include "sim/event_sim.h"
 #include "workloads/autopilot.h"
 #include "workloads/model.h"
@@ -536,6 +540,103 @@ TEST(SimDigest, BalancedChainsMatchPinnedResults) {
     EXPECT_EQ(d.value(), pin.digest)
         << "pin row: {" << pin.rows << ", " << pin.cols << ", 0x" << std::hex
         << d.value() << "ull},";
+  }
+}
+
+// Identical-layer pipelines: every layer of a configuration shares one
+// GEMM shape (or half of it), so ready times and completions coincide in
+// exact arithmetic across chiplets and differ by ulps in floating point,
+// while closed-loop overload, bursts and two-tenant sharing build
+// per-chiplet backlogs. Shards that become ready within kTimeEps of a
+// completion then sit behind other pending shards, not only at the front
+// of a chiplet's queue. One digest folds kPerPin configurations.
+struct IdenticalPin {
+  int first;
+  std::uint64_t digest;
+};
+
+constexpr int kPerPin = 20;
+constexpr IdenticalPin kIdenticalPins[] = {
+    {0, 0x21edef7584ef54b4ull},
+    {20, 0x9b20db7f86e92375ull},
+    {40, 0x5cb07dee0217780eull},
+    {60, 0xea23d3f47320ea84ull},
+    {80, 0xe4739c25db62d9bfull},
+    {100, 0xeec987b18ecd98cdull},
+    {120, 0x2567c0580013bc30ull},
+    {140, 0xbe0bc7af5c487175ull},
+};
+
+SimResult run_identical_layers(int k) {
+  Rng rng(0x1D3A7ull + static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ull);
+  const PackageConfig pkg = make_simba_package(rng.range(1, 3), rng.range(2, 4));
+  const int m = rng.range(512, 4096);
+  const int kk = rng.range(16, 128);
+  PerceptionPipeline pipe;
+  Stage s0{"S0", {}};
+  const int models = rng.range(1, 3);
+  for (int mi = 0; mi < models; ++mi) {
+    Model md;
+    md.name = "m" + std::to_string(mi);
+    const int layers = rng.range(1, 4);
+    for (int l = 0; l < layers; ++l) {
+      md.layers.push_back(gemm(md.name + "g" + std::to_string(l),
+                               rng.coin() ? m : m / 2, kk, kk));
+    }
+    s0.models.push_back({md, false});
+  }
+  pipe.stages.push_back(s0);
+  if (rng.coin()) {
+    Model f;
+    f.name = "f";
+    f.layers = {gemm("f0", m, kk, kk)};
+    pipe.stages.push_back(Stage{"S1", {{f, false}}});
+  }
+  Schedule sched(pipe, pkg);
+  const int n = pkg.num_chiplets();
+  for (int i = 0; i < sched.num_items(); ++i) {
+    const int a = rng.range(0, n - 1);
+    if (rng.range(0, 3) == 0) {
+      const int b = (a + rng.range(1, n - 1)) % n;
+      sched.assign_sharded(i, {pkg.chiplets()[static_cast<std::size_t>(a)].id,
+                               pkg.chiplets()[static_cast<std::size_t>(b)].id});
+    } else {
+      sched.assign(i, pkg.chiplets()[static_cast<std::size_t>(a)].id);
+    }
+  }
+  const double service =
+      analyze_layer(gemm("x", m, kk, kk), pkg.chiplets().front().array).latency_s;
+  SimOptions opt;
+  opt.frames = rng.range(8, 48);
+  const int load = rng.range(0, 3);  // burst, 2x overload, matched, half load
+  opt.frame_interval_s = load == 0 ? 0.0 : service * 0.5 * load;
+  opt.nop_mode = rng.coin() ? NopMode::kContended : NopMode::kAnalytical;
+  opt.model_nop_delays = rng.range(0, 3) != 0;
+  if (rng.coin()) {
+    opt.policy = rng.coin() ? PlacementPolicy::kPriority : PlacementPolicy::kShared;
+    for (int t = 0; t < 2; ++t) {
+      TenantStream ts;
+      ts.name = t == 0 ? "a" : "b";
+      ts.schedule = &sched;
+      ts.frames = opt.frames;
+      ts.frame_interval_s = opt.frame_interval_s * (t + 1);
+      ts.priority = t;
+      opt.tenants.push_back(ts);
+    }
+  }
+  return simulate_schedule(sched, opt);
+}
+
+TEST(SimDigest, IdenticalLayerPipelinesMatchPinnedResults) {
+  ASSERT_EQ(std::size(kIdenticalPins), 8u) << "pin table incomplete";
+  for (const IdenticalPin& pin : kIdenticalPins) {
+    Digest d;
+    for (int k = pin.first; k < pin.first + kPerPin; ++k) {
+      d.add(digest_of(run_identical_layers(k)));
+    }
+    EXPECT_EQ(d.value(), pin.digest)
+        << "pin row: {" << pin.first << ", 0x" << std::hex << d.value()
+        << "ull},";
   }
 }
 
