@@ -32,9 +32,14 @@
 //     modest (kServingSpeedupFloor); the sharp check is bitwise identity
 //     of every warm probe against a fresh plan.
 //
+// Both sections also report the warm path's event-loop load, read from
+// EngineStats: events per run, events per executed task, and warm host time
+// per event.
+//
 // Artifacts: bench_simspeed.csv / bench_simspeed.json (points, elapsed,
-// points/sec, speedups per section; the JSON is uploaded by the Release
-// and ASan CI jobs). --smoke runs reduced grids for CTest.
+// points/sec, speedups and event-loop load per section; the JSON is
+// uploaded by the Release and ASan CI jobs). --smoke runs reduced grids
+// for CTest.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -88,11 +93,35 @@ Timing measure(int points_per_pass, double min_elapsed_s, Fn&& pass) {
   return t;
 }
 
+// The warm path's event-loop work over its timed passes: EngineStats
+// deltas plus the tasks the runs executed.
+struct EventLoad {
+  long long runs = 0;
+  long long events = 0;
+  long long tasks = 0;
+
+  static EventLoad between(const EngineStats& before, const EngineStats& after,
+                           long long tasks) {
+    return {after.runs - before.runs,
+            after.events_processed - before.events_processed, tasks};
+  }
+  double per_run() const {
+    return runs > 0 ? static_cast<double>(events) / runs : 0.0;
+  }
+  double per_task() const {
+    return tasks > 0 ? static_cast<double>(events) / tasks : 0.0;
+  }
+  double ns_per_event(const Timing& t) const {
+    return events > 0 ? t.elapsed_s * 1e9 / static_cast<double>(events) : 0.0;
+  }
+};
+
 struct SectionResult {
   std::string name;
   Timing stateless;           // per-point fresh construction
   Timing oneshot;             // hoisted design, one-shot simulator (grid only)
   Timing warm;                // hoisted design, reused engine
+  EventLoad warm_load;        // event-loop work of the warm passes
   double parallel_pps = 0.0;  // SweepRunner path; 0 when not measured
   double floor = 0.0;
   double speedup() const {
@@ -101,7 +130,14 @@ struct SectionResult {
   double speedup_vs_oneshot() const {
     return oneshot.pps() > 0.0 ? warm.pps() / oneshot.pps() : 0.0;
   }
+  double ns_per_event() const { return warm_load.ns_per_event(warm); }
 };
+
+void print_event_load(const SectionResult& s) {
+  std::printf("  event loop (warm): %.1f events/run, %.3f events/task, "
+              "%.1f ns/event\n",
+              s.warm_load.per_run(), s.warm_load.per_task(), s.ns_per_event());
+}
 
 // ---------------------------------------------------------------------------
 // Section 1: the DSE option grid.
@@ -170,13 +206,16 @@ SectionResult run_grid_section(bool smoke) {
 
   SimEngine engine;
   SimResult out;
+  long long tasks = 0;
   sec.warm = measure(n, min_s, [&] {
     for (const SimOptions& opt : grid) {
       engine.run_into(sched, opt, out);
+      tasks += out.tasks_executed;
       benchmark::DoNotOptimize(out.makespan_s);
     }
   });
   const EngineStats stats = engine.stats();
+  sec.warm_load = EventLoad::between(EngineStats{}, stats, tasks);
 
   // The parallel path a real sweep uses: one engine per worker slot,
   // points/sec read straight off the sweep artifact fields.
@@ -216,6 +255,7 @@ SectionResult run_grid_section(bool smoke) {
   std::printf("  speedup: %.1fx vs stateless (floor %.0fx), %.1fx vs "
               "one-shot\n",
               sec.speedup(), sec.floor, sec.speedup_vs_oneshot());
+  print_event_load(sec);
   std::printf("  parallel: %9.1f points/sec (SweepRunner, %d worker "
               "slots)\n",
               sec.parallel_pps, runner.worker_slots());
@@ -278,12 +318,16 @@ SectionResult run_serving_section(bool smoke) {
 
   ServingPlan plan(pkg, fleet, opt);
   SimResult out;
+  const EngineStats before = plan.engine_stats();
+  long long tasks = 0;
   sec.warm = measure(n_rates, min_s, [&] {
     for (const double fps : rates) {
       plan.run_at_rate_into(fps, out);
+      tasks += out.tasks_executed;
       benchmark::DoNotOptimize(out.makespan_s);
     }
   });
+  sec.warm_load = EventLoad::between(before, plan.engine_stats(), tasks);
 
   // Identity: the warm plan's probes must match fresh plans bit for bit.
   int mismatches = 0;
@@ -304,6 +348,7 @@ SectionResult run_serving_section(bool smoke) {
               "%.2f s) -> %.2fx (floor %.1fx)\n",
               sec.warm.pps(), sec.warm.points, sec.warm.elapsed_s,
               sec.speedup(), sec.floor);
+  print_event_load(sec);
   std::printf("  warm bitwise == fresh at every rate: %s\n\n",
               mismatches == 0 ? "yes" : "NO - BUG");
   if (mismatches != 0) {
@@ -329,12 +374,14 @@ void write_artifacts(const std::vector<SectionResult>& sections, bool pass) {
   csv.set_header({"section", "stateless_points_per_sec",
                   "oneshot_points_per_sec", "warm_points_per_sec",
                   "speedup_vs_stateless", "speedup_vs_oneshot",
-                  "parallel_points_per_sec", "speedup_floor"});
+                  "parallel_points_per_sec", "speedup_floor",
+                  "events_per_run", "events_per_task", "ns_per_event"});
   for (const SectionResult& s : sections) {
     csv.add_row({s.name, fmt(s.stateless.pps()), fmt(s.oneshot.pps()),
                  fmt(s.warm.pps()), fmt(s.speedup()),
                  fmt(s.speedup_vs_oneshot()), fmt(s.parallel_pps),
-                 fmt(s.floor)});
+                 fmt(s.floor), fmt(s.warm_load.per_run()),
+                 fmt(s.warm_load.per_task()), fmt(s.ns_per_event())});
   }
   const bool csv_ok = csv.write_file(bench::artifact_path("bench_simspeed.csv"));
 
@@ -353,6 +400,9 @@ void write_artifacts(const std::vector<SectionResult>& sections, bool pass) {
     w.key("speedup_vs_oneshot").value(s.speedup_vs_oneshot());
     w.key("parallel_points_per_sec").value(s.parallel_pps);
     w.key("speedup_floor").value(s.floor);
+    w.key("events_per_run").value(s.warm_load.per_run());
+    w.key("events_per_task").value(s.warm_load.per_task());
+    w.key("ns_per_event").value(s.ns_per_event());
     w.end_object();
   }
   w.end_array();

@@ -234,7 +234,10 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
   for (std::size_t t = 0; t < streams.size(); ++t) {
     clean[t] = collect_structure(streams[t], out);
     if (clean[t]) {
-      clean[t] = collect_routes(streams[t], *streams[t].sched, nop, out);
+      // Route findings stop the engine only when it prices NoP delays;
+      // without them it goes on to build, and under a fault remap, the
+      // stream.
+      clean[t] = collect_routes(streams[t], *streams[t].sched, nop, out) || !nop;
     }
   }
 

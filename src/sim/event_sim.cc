@@ -306,6 +306,20 @@ class MinHeap {
     v_.pop_back();
   }
   void clear() { v_.clear(); }
+  // The least key(x) below `hi` among entries where in(key(x)) holds, or
+  // `hi` when there is none. key must not decrease from a node to its
+  // children and in must be monotone in the key, so a node at or above
+  // `hi`, or one that passes `in`, bounds its whole subtree: only nodes
+  // below the window are expanded.
+  template <typename Key, typename In>
+  double least_key(Key key, In in, double hi, std::size_t i = 0) const {
+    if (i >= v_.size()) return hi;
+    const double k = key(v_[i]);
+    if (k >= hi) return hi;
+    if (in(k)) return k;
+    return std::min(least_key(key, in, hi, 2 * i + 1),
+                    least_key(key, in, hi, 2 * i + 2));
+  }
 
  private:
   std::vector<T> v_;
@@ -568,9 +582,9 @@ struct SimEngine::Impl {
   std::vector<std::size_t> slot_of;
   std::vector<double> admit_of;
   // Dispatch order of the previous run, kept across runs: when the current
-  // run's admission instants prove it is already THE stable sort (an O(n)
-  // adjacency check), the O(n log n) re-sort — and std::stable_sort's
-  // temporary-buffer allocation — is skipped (EngineStats::warm_starts).
+  // run's admission instants prove it is already THE sorted order (an O(n)
+  // adjacency check), the O(n log n) re-sort is skipped
+  // (EngineStats::warm_starts).
   std::vector<int> order;
   std::vector<int> rank_of;
   std::vector<int> deps_left;
@@ -603,6 +617,9 @@ struct SimEngine::Impl {
   std::vector<MinHeap<ReadyShard, ReadyAfter>> ready;
   std::vector<double> chiplet_free;
   std::vector<double> chiplet_busy;
+  // Per chiplet: the time of the armed dispatch event the loop relies on,
+  // +inf when none is armed (see run_into's `arm`).
+  std::vector<double> wake;
   MinHeap<Ev, EvAfter> events;
   // Link-stats replay: the dense indices this run's programs resolved, in
   // the order a fresh fabric would have registered them.
@@ -761,6 +778,7 @@ struct SimEngine::Impl {
     ready.clear();
     chiplet_free.clear();
     chiplet_busy.clear();
+    wake.clear();
     events.clear();
     run_links.clear();
     link_mark.clear();
@@ -904,11 +922,11 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     }
   }
 
-  // Dispatch ranks: FIFO by admission instant across tenants (stable ties
-  // keep tenant-major job order); under kPriority a higher-priority
-  // tenant's jobs rank ahead of lower-priority ones outright. For a single
-  // stream admission instants are nondecreasing in frame, so the stable
-  // sort is the identity and rank == frame (the legacy dispatch policy).
+  // Dispatch ranks: FIFO by admission instant across tenants (ties keep
+  // tenant-major job order); under kPriority a higher-priority tenant's
+  // jobs rank ahead of lower-priority ones outright. For a single stream
+  // admission instants are nondecreasing in frame, so the sort is the
+  // identity and rank == frame (the legacy dispatch policy).
   {
     const auto before = [&](int a, int b) {
       if (options.policy == PlacementPolicy::kPriority) {
@@ -923,23 +941,25 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       return admit_of[static_cast<std::size_t>(a)] <
              admit_of[static_cast<std::size_t>(b)];
     };
-    // Warm start: the previous run's order is THE stable sort of this
-    // run's jobs iff the count matches and every adjacent pair (x, y)
-    // satisfies the stable-sort total order "before(x,y), ties broken by
-    // original index" — a sequence sorted under a total order is unique,
-    // so passing the O(n) check proves re-sorting would reproduce it.
+    // The total order "before(x,y), ties broken by job index": a sequence
+    // sorted under a total order is unique, so std::sort (which needs no
+    // scratch buffer) yields exactly the stable sort by `before`, and the
+    // previous run's order is reused outright when the O(n) adjacency
+    // check proves re-sorting would reproduce it.
+    const auto ranks_before = [&](int x, int y) {
+      return before(x, y) || (!before(y, x) && x < y);
+    };
     bool warm = static_cast<int>(order.size()) == jobs;
     for (int i = 1; warm && i < jobs; ++i) {
-      const int x = order[static_cast<std::size_t>(i - 1)];
-      const int y = order[static_cast<std::size_t>(i)];
-      warm = before(x, y) || (!before(y, x) && x < y);
+      warm = ranks_before(order[static_cast<std::size_t>(i - 1)],
+                          order[static_cast<std::size_t>(i)]);
     }
     if (warm) {
       ++stats.warm_starts;
     } else {
       order.resize(static_cast<std::size_t>(jobs));
       for (int j = 0; j < jobs; ++j) order[static_cast<std::size_t>(j)] = j;
-      std::stable_sort(order.begin(), order.end(), before);
+      std::sort(order.begin(), order.end(), ranks_before);
     }
     rank_of.resize(static_cast<std::size_t>(jobs));
     for (int i = 0; i < jobs; ++i) {
@@ -1002,8 +1022,10 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     pending[static_cast<std::size_t>(c)].clear();
     ready[static_cast<std::size_t>(c)].clear();
   }
+  const double inf = std::numeric_limits<double>::infinity();
   chiplet_free.assign(static_cast<std::size_t>(nc), 0.0);
   chiplet_busy.assign(static_cast<std::size_t>(nc), 0.0);
+  wake.assign(static_cast<std::size_t>(nc), inf);
   events.clear();
 
   // Reset every field of the caller's result object (run_into reuses its
@@ -1030,6 +1052,35 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   result.reload_time_s = 0.0;
   result.tenants.resize(static_cast<std::size_t>(num_tenants));
 
+  // Dispatch arming. The loop keeps three invariants per chiplet c:
+  //  1. a busy chiplet has a dispatch queued at chiplet_free[c] (pushed
+  //     unconditionally by task dispatch, fault, reload and recovery);
+  //  2. an idle chiplet with pending work has one armed dispatch, at
+  //     wake[c] <= its earliest pending ready time;
+  //  3. only the next admission of each tenant is in the heap.
+  // A dispatch is therefore pushed only when it would fire before the
+  // armed one. Dispatches at equal keys are idempotent and a dispatch that
+  // finds its chiplet busy does nothing, so every dispatch that does work
+  // fires at the same (time, kDispatch, chiplet) key as it would with one
+  // dispatch pushed per enqueued shard — including a shard that becomes
+  // ready within kTimeEps before its chiplet's running task completes,
+  // which the dispatch test already counts as free (see free_at).
+  const auto arm = [&](int c, double t) {
+    double& w = wake[static_cast<std::size_t>(c)];
+    if (t < w) {
+      w = t;
+      events.push(Ev{t, kDispatch, c, 0, 0});
+    }
+  };
+
+  // Whether chiplet c counts as free at time t: the dispatch test.
+  const auto free_at = [&](int c, double t) {
+    return chiplet_free[static_cast<std::size_t>(c)] <= t + kTimeEps;
+  };
+
+  // A shard ready at `at` on a chiplet busy past `at` is picked up by the
+  // dispatch queued at chiplet_free (invariant 1); otherwise it needs an
+  // armed dispatch at or before `at`.
   const auto enqueue_item_shards = [&](int job, int item, double at) {
     const auto& shards =
         prog_of[static_cast<std::size_t>(job)]
@@ -1038,7 +1089,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       const int c = shards[static_cast<std::size_t>(s)].chiplet;
       pending[static_cast<std::size_t>(c)].push(PendingShard{
           at, rank_of[static_cast<std::size_t>(job)], job, item, s});
-      events.push(Ev{at, kDispatch, c, 0, 0});
+      if (free_at(c, at)) arm(c, at);
     }
   };
 
@@ -1078,7 +1129,12 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     }
   };
 
-  for (int j = 0; j < jobs; ++j) {
+  // Invariant 3: each tenant's first admission; every kAdmit pushes its
+  // successor. Per-tenant admission instants are nondecreasing and the
+  // event order is total, so the successor is never due before the pop
+  // that pushes it and the pop sequence is that of a fully seeded heap.
+  for (int t = 0; t < num_tenants; ++t) {
+    const int j = ctx[static_cast<std::size_t>(t)].job_base;
     events.push(Ev{admit_of[static_cast<std::size_t>(j)], kAdmit, j, 0, 0});
   }
   if (faulted) {
@@ -1091,12 +1147,17 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   while (!events.empty()) {
     const Ev ev = events.top();
     events.pop();
+    ++stats.events_processed;
     const double now = ev.time;
     switch (ev.kind) {
       case kAdmit: {
         const int f = ev.a;
         const int tn = tenant_of[static_cast<std::size_t>(f)];
         const StreamSpec& st = streams[static_cast<std::size_t>(tn)];
+        if (f + 1 < ctx[static_cast<std::size_t>(tn)].job_base + st.frames) {
+          events.push(Ev{admit_of[static_cast<std::size_t>(f + 1)], kAdmit,
+                         f + 1, 0, 0});
+        }
         const AdmissionControl& ac = *st.admission;
         if (ac.policy != ShedPolicy::kNone &&
             queue_len[static_cast<std::size_t>(tn)] >= ac.queue_capacity) {
@@ -1199,8 +1260,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           }
           pending[static_cast<std::size_t>(c)].clear();
           ready[static_cast<std::size_t>(c)].clear();
-          chiplet_free[static_cast<std::size_t>(c)] =
-              c == dead ? std::numeric_limits<double>::infinity() : resume;
+          chiplet_free[static_cast<std::size_t>(c)] = c == dead ? inf : resume;
+          wake[static_cast<std::size_t>(c)] = c == dead ? inf : resume;
           if (c != dead) events.push(Ev{resume, kDispatch, c, 0, 0});
         }
         // Cold-start weight reloads (memory model active only; the plans
@@ -1222,6 +1283,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
             const double delay = rp.delay_s + wait;
             const std::size_t c = static_cast<std::size_t>(rp.dense_chiplet);
             chiplet_free[c] += delay;
+            wake[c] = chiplet_free[c];
             events.push(Ev{chiplet_free[c], kDispatch, rp.dense_chiplet, 0, 0});
             result.reload_bytes += rp.bytes;
             result.reload_time_s += delay;
@@ -1295,6 +1357,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           result.reload_bytes += rp.bytes;
           result.reload_time_s += delay;
         }
+        wake[static_cast<std::size_t>(dead)] =
+            chiplet_free[static_cast<std::size_t>(dead)];
         events.push(
             Ev{chiplet_free[static_cast<std::size_t>(dead)], kDispatch, dead,
                0, 0});
@@ -1303,8 +1367,12 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
       case kDispatch:
       default: {
         const std::size_t c = static_cast<std::size_t>(ev.a);
+        if (wake[c] == now) wake[c] = inf;  // the armed dispatch fired
         // Busy: the dispatch pushed at this task's completion will re-check.
-        if (chiplet_free[c] > now + kTimeEps) break;
+        if (!free_at(ev.a, now)) {
+          ++stats.busy_dispatches;
+          break;
+        }
         auto& pend = pending[c];
         auto& rdy = ready[c];
         while (!pend.empty() && pend.top().ready <= now + kTimeEps) {
@@ -1338,9 +1406,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           }
         }
         if (rdy.empty()) {
-          if (!pend.empty()) {
-            events.push(Ev{pend.top().ready, kDispatch, ev.a, 0, 0});
-          }
+          if (!pend.empty()) arm(ev.a, pend.top().ready);
           break;
         }
         const ReadyShard task = rdy.top();
@@ -1371,7 +1437,15 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         chiplet_free[c] = done;
         chiplet_busy[c] += service;
         ++result.tasks_executed;
+        wake[c] = done;
         events.push(Ev{done, kDispatch, ev.a, 0, 0});
+        // A pending shard that becomes ready within kTimeEps before `done`
+        // finds the chiplet free by the same test, so it is dispatched at
+        // its ready time, ahead of the completion.
+        const double early = pend.least_key(
+            [](const PendingShard& p) { return p.ready; },
+            [&](double r) { return free_at(ev.a, r); }, done);
+        if (early < done) arm(ev.a, early);
         events.push(Ev{done, kFinish, task.job, task.item,
                        epoch_of[static_cast<std::size_t>(task.job)]});
         break;

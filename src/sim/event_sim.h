@@ -368,10 +368,17 @@ struct EngineStats {
   long long program_builds = 0;
   long long program_cache_hits = 0;  // primary or degraded reused as-is
   // Runs that reused the previous dispatch-rank order outright (the
-  // adjacency re-check proved it is THE stable sort of the current run's
-  // admission instants, so no sort — and no sort scratch allocation — was
-  // needed).
+  // adjacency re-check proved it is THE sorted order of the current run's
+  // admission instants, so no sort was needed).
   long long warm_starts = 0;
+  // Events popped from the event heap, all kinds (admissions, shard
+  // finishes, dispatches, fault and recovery).
+  long long events_processed = 0;
+  // Dispatch events popped while their chiplet was still busy: no work
+  // done. Rare: a completion's dispatch overtaken by a shard that became
+  // ready within kTimeEps before it, a wake superseded by an earlier one,
+  // and the dispatches a fault flush strands.
+  long long busy_dispatches = 0;
 };
 
 // Reusable simulation engine: simulate_schedule with all per-run state —

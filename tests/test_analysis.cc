@@ -289,6 +289,28 @@ TEST_F(ValidateScheduleTest, F004NoRemapSurvivorIsInvalidArgument) {
   EXPECT_THROW(validate_or_throw(s, opt), std::invalid_argument);
 }
 
+// Without NoP delays a severed I/O port is advisory (R002 not enforced),
+// so the engine goes on to remap the stream and finds no survivor: the
+// validator must still report F004. Found by test_fuzz_properties at 512
+// seeds (ValidatorAgreesWithEngineAcceptance, seed 194).
+TEST_F(ValidateScheduleTest, F004IsReportedBehindAnAdvisoryRouteFinding) {
+  const PackageConfig pair = make_simba_package(1, 2);
+  const PackageConfig lone = pair.without_chiplet(pair.chiplets()[0].id);
+  const int survivor = lone.chiplets()[0].id;
+  Schedule s(pipe_, lone);
+  s.assign(0, survivor);
+  s.assign(1, survivor);
+  SimOptions opt;
+  opt.model_nop_delays = false;
+  opt.fault.chiplet_id = survivor;
+  opt.fault.fail_time_s = 1e-4;
+  const Diagnostics diags = validate(s, opt);
+  EXPECT_TRUE(diags.has_rule(analysis::kRuleRouteIoSevered));
+  EXPECT_TRUE(diags.has_rule(analysis::kRuleFaultNoSurvivor));
+  EXPECT_THROW(validate_or_throw(s, opt), std::invalid_argument);
+  EXPECT_THROW((void)SimEngine().run(s, opt), std::invalid_argument);
+}
+
 TEST_F(ValidateScheduleTest, A001BadArrivalSpecIsInvalidArgument) {
   SimOptions opt;
   opt.arrivals.kind = ArrivalKind::kTrace;  // empty trace, 8 frames

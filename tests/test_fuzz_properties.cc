@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -72,7 +74,34 @@ LayerDesc random_layer(Lcg& rng, int tag) {
   }
 }
 
-class FuzzSeed : public ::testing::TestWithParam<int> {};
+// Seeds 1..N, N from CNPU_FUZZ_SEEDS (default 8, the tier-1 run; CI's fuzz
+// job runs 512).
+int fuzz_seed_count() {
+  const char* env = std::getenv("CNPU_FUZZ_SEEDS");
+  if (env == nullptr || *env == '\0') return 8;
+  char* end = nullptr;
+  const long n = std::strtol(env, &end, 10);
+  if (*end != '\0' || n < 1 || n > 1000000) {
+    std::fprintf(stderr, "CNPU_FUZZ_SEEDS=\"%s\" is not a seed count in [1, 1000000]\n",
+                 env);
+    std::exit(EXIT_FAILURE);
+  }
+  return static_cast<int>(n);
+}
+
+class FuzzSeed : public ::testing::TestWithParam<int> {
+ protected:
+  // A failing case prints the one line that replays exactly it.
+  void TearDown() override {
+    if (!HasFailure()) return;
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::fprintf(stderr,
+                 "repro: CNPU_FUZZ_SEEDS=%d test_fuzz_properties "
+                 "--gtest_filter='%s.%s'\n",
+                 GetParam(), info->test_suite_name(), info->name());
+  }
+};
 
 TEST_P(FuzzSeed, CostModelInvariantsHold) {
   Lcg rng(static_cast<std::uint64_t>(GetParam()) * 7919u + 17u);
@@ -1136,7 +1165,8 @@ TEST_P(FuzzSeed, BoundSoundness) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed, ::testing::Range(1, 9));
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeed,
+                         ::testing::Range(1, fuzz_seed_count() + 1));
 
 }  // namespace
 }  // namespace cnpu

@@ -50,9 +50,9 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-// The nothrow forms must be replaced too: std::stable_sort's temporary
-// buffer allocates through operator new(size, nothrow) but frees through
-// plain operator delete, and replacing only one side trips ASan's
+// The nothrow forms must be replaced too: library temporary buffers (e.g.
+// std::stable_sort's) allocate through operator new(size, nothrow) but free
+// through plain operator delete, and replacing only one side trips ASan's
 // alloc-dealloc-mismatch check.
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   ++g_new_calls;
@@ -327,6 +327,70 @@ TEST(SimEngine, SteadyStateRunsAreAllocationFree) {
     const long long allocs = g_new_calls - before;
     EXPECT_EQ(allocs, 0) << label << ": steady-state run allocated";
   }
+
+  // Back-to-back runs that differ in frame count cannot reuse the previous
+  // dispatch order, so every run re-sorts the ranks: the sort must not
+  // allocate either.
+  for (auto& [label, opt] : shapes) {
+    SCOPED_TRACE(label);
+    SimOptions longer = opt;
+    longer.frames += 3;
+    for (TenantStream& t : longer.tenants) t.frames += 3;
+    engine.run_into(s0, longer, out);  // sizes the arenas for both runs
+    engine.run_into(s0, opt, out);
+    const long long before = g_new_calls;
+    const long long sorts = engine.stats().runs - engine.stats().warm_starts;
+    engine.run_into(s0, longer, out);
+    engine.run_into(s0, opt, out);
+    EXPECT_EQ(engine.stats().runs - engine.stats().warm_starts, sorts + 2)
+        << label << ": a run skipped the re-sort";
+    EXPECT_EQ(g_new_calls - before, 0)
+        << label << ": re-sorting run allocated";
+  }
+}
+
+// Engine counters: every popped event is counted, and fault-free runs pop
+// almost no dispatch while its chiplet is busy. One dispatch pushed per
+// enqueued shard would pop about one busy dispatch per task; with one armed
+// dispatch per chiplet the only busy pops left are a completion's dispatch
+// overtaken by a shard that became ready within kTimeEps before it (the
+// burst shapes below have one such tie) and a wake superseded by an earlier
+// one.
+TEST(SimEngine, FaultFreeRunsPopAlmostNoBusyDispatch) {
+  const PerceptionPipeline pipe = make_pipe();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  const Schedule s0 = make_schedule(pipe, pkg, 0);
+  const Schedule s1 = make_schedule(pipe, pkg, 1);
+
+  std::vector<std::pair<const char*, SimOptions>> shapes;
+  for (const auto& shape : option_shapes(pkg)) {
+    if (!shape.second.fault.active()) shapes.push_back(shape);
+  }
+  SimOptions tenants = tenant_options(s0, s1, pkg);
+  tenants.fault = FaultPlan{};
+  shapes.emplace_back("multi-tenant priority", tenants);
+  ASSERT_GE(shapes.size(), 4u);
+
+  SimEngine engine;
+  SimResult out;
+  for (const auto& [label, opt] : shapes) {
+    SCOPED_TRACE(label);
+    const EngineStats before = engine.stats();
+    engine.run_into(s0, opt, out);
+    const long long events =
+        engine.stats().events_processed - before.events_processed;
+    const long long busy =
+        engine.stats().busy_dispatches - before.busy_dispatches;
+    EXPECT_LE(busy * 10, static_cast<long long>(out.tasks_executed))
+        << busy << " busy dispatches for " << out.tasks_executed << " tasks";
+    // At least each admission, each shard finish and each shard dispatch.
+    EXPECT_GE(events, 2LL * out.tasks_executed +
+                          static_cast<long long>(out.frame_completion_s.size()));
+  }
+
+  engine.reset();
+  EXPECT_EQ(engine.stats().events_processed, 0);
+  EXPECT_EQ(engine.stats().busy_dispatches, 0);
 }
 
 // ServingPlan is the warm path the load search probes run on: it must
