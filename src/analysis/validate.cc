@@ -237,7 +237,8 @@ void collect_sim(const Schedule& schedule, const SimOptions& options,
       // Route findings stop the engine only when it prices NoP delays;
       // without them it goes on to build, and under a fault remap, the
       // stream.
-      clean[t] = collect_routes(streams[t], *streams[t].sched, nop, out) || !nop;
+      clean[t] =
+          collect_routes(streams[t], *streams[t].sched, nop, out) || !nop;
     }
   }
 

@@ -82,7 +82,8 @@ int fuzz_seed_count() {
   char* end = nullptr;
   const long n = std::strtol(env, &end, 10);
   if (*end != '\0' || n < 1 || n > 1000000) {
-    std::fprintf(stderr, "CNPU_FUZZ_SEEDS=\"%s\" is not a seed count in [1, 1000000]\n",
+    std::fprintf(stderr,
+                 "CNPU_FUZZ_SEEDS=\"%s\" is not a seed count in [1, 1000000]\n",
                  env);
     std::exit(EXIT_FAILURE);
   }

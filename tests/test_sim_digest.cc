@@ -56,7 +56,8 @@ class Rng {
     return z ^ (z >> 31);
   }
   int range(int lo, int hi) {
-    return lo + static_cast<int>(next() % static_cast<std::uint64_t>(hi - lo + 1));
+    return lo + static_cast<int>(next() %
+                                 static_cast<std::uint64_t>(hi - lo + 1));
   }
   double uniform(double lo, double hi) {
     return lo + (hi - lo) * static_cast<double>(next() >> 11) * 0x1p-53;
@@ -77,7 +78,9 @@ class Digest {
     }
   }
   void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(int v) { add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
+  void add(int v) {
+    add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
   void add(const std::vector<double>& v) {
     add(static_cast<int>(v.size()));
     for (const double x : v) add(x);
@@ -213,7 +216,8 @@ const Schedule& random_schedule(Config& cfg, Rng& rng, int tag) {
   }
   pipe->stages.push_back(s0);
   if (rng.coin()) {
-    pipe->stages.push_back(Stage{"S1", {{chain(p + "f", rng.range(1, 2)), false}}});
+    pipe->stages.push_back(
+        Stage{"S1", {{chain(p + "f", rng.range(1, 2)), false}}});
   }
   const PackageConfig& pkg = *cfg.package;
   auto sched = std::make_unique<Schedule>(*pipe, pkg);
@@ -222,7 +226,8 @@ const Schedule& random_schedule(Config& cfg, Rng& rng, int tag) {
     const int shards = rng.range(0, 3) == 0 ? rng.range(2, std::min(3, n)) : 1;
     std::vector<int> ids;
     while (static_cast<int>(ids.size()) < shards) {
-      const int id = pkg.chiplets()[static_cast<std::size_t>(rng.range(0, n - 1))].id;
+      const int id =
+          pkg.chiplets()[static_cast<std::size_t>(rng.range(0, n - 1))].id;
       if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
     }
     if (shards == 1) {
@@ -244,10 +249,13 @@ Config make_config(int k) {
   Config cfg;
   const bool matched = k % 8 == 7;
   const bool multi = k % 2 == 1;
-  const int nop = (k / 2) % 3;          // analytical, contended, delay-free
-  const int arrival = k % 5;            // none, periodic, Poisson, bursty, trace
-  const int shed = (k / 5) % 4;         // none, reject-new, drop-oldest, drop-newest
-  const int fault = (k / 3) % 3;        // none, permanent, recovers
+  // nop: analytical, contended, delay-free. arrival: none, periodic,
+  // Poisson, bursty, trace. shed: none, reject-new, drop-oldest,
+  // drop-newest. fault: none, permanent, recovers.
+  const int nop = (k / 2) % 3;
+  const int arrival = k % 5;
+  const int shed = (k / 5) % 4;
+  const int fault = (k / 3) % 3;
   const bool reload = fault != 0 && rng.coin();
 
   if (matched) {
@@ -359,27 +367,32 @@ Config make_config(int k) {
     const PackageConfig& pkg = *cfg.package;
     int victim = -1;
     while (victim < 0) {
-      const ChipletSpec& c =
-          pkg.chiplets()[static_cast<std::size_t>(rng.range(0, pkg.num_chiplets() - 1))];
+      const ChipletSpec& c = pkg.chiplets()[static_cast<std::size_t>(
+          rng.range(0, pkg.num_chiplets() - 1))];
       if (!pkg.io_port_attached_to(c.id)) victim = c.id;
     }
     opt.fault.chiplet_id = victim;
     const double span = std::max(period, opt.frame_interval_s) * frames;
     // One fault in four lands exactly on a closed-loop admission instant.
-    opt.fault.fail_time_s = rng.range(0, 3) == 0 && opt.frame_interval_s > 0.0
-                                ? opt.frame_interval_s * rng.range(0, frames / 2)
-                                : span * rng.uniform(0.0, 0.6);
-    opt.fault.reschedule_penalty_s = rng.coin() ? 0.0 : period * rng.uniform(0.0, 0.5);
+    const bool on_admission =
+        rng.range(0, 3) == 0 && opt.frame_interval_s > 0.0;
+    opt.fault.fail_time_s =
+        on_admission ? opt.frame_interval_s * rng.range(0, frames / 2)
+                     : span * rng.uniform(0.0, 0.6);
+    opt.fault.reschedule_penalty_s =
+        rng.coin() ? 0.0 : period * rng.uniform(0.0, 0.5);
     if (fault == 2) {
-      opt.fault.recover_time_s = opt.fault.fail_time_s + span * rng.uniform(0.0, 0.4);
+      opt.fault.recover_time_s =
+          opt.fault.fail_time_s + span * rng.uniform(0.0, 0.4);
     }
   }
 
   cfg.label = "config " + std::to_string(k) + (matched ? " matched" : "") +
               (multi ? " tenants=" + std::to_string(tenants) : " single") +
-              " nop=" + std::to_string(nop) + " arrival=" + std::to_string(arrival) +
-              " shed=" + std::to_string(shed) + " fault=" + std::to_string(fault) +
-              (reload ? " reload" : "");
+              " nop=" + std::to_string(nop) +
+              " arrival=" + std::to_string(arrival) +
+              " shed=" + std::to_string(shed) +
+              " fault=" + std::to_string(fault) + (reload ? " reload" : "");
   return cfg;
 }
 
@@ -527,7 +540,8 @@ TEST(SimDigest, BalancedChainsMatchPinnedResults) {
       }
       for (const int frames : {8, 16}) {
         for (const double interval : {0.0, 5e-5}) {
-          for (const NopMode mode : {NopMode::kAnalytical, NopMode::kContended}) {
+          for (const NopMode mode :
+               {NopMode::kAnalytical, NopMode::kContended}) {
             SimOptions opt;
             opt.frames = frames;
             opt.frame_interval_s = interval;
@@ -569,7 +583,8 @@ constexpr IdenticalPin kIdenticalPins[] = {
 
 SimResult run_identical_layers(int k) {
   Rng rng(0x1D3A7ull + static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ull);
-  const PackageConfig pkg = make_simba_package(rng.range(1, 3), rng.range(2, 4));
+  const PackageConfig pkg =
+      make_simba_package(rng.range(1, 3), rng.range(2, 4));
   const int m = rng.range(512, 4096);
   const int kk = rng.range(16, 128);
   PerceptionPipeline pipe;
@@ -605,7 +620,8 @@ SimResult run_identical_layers(int k) {
     }
   }
   const double service =
-      analyze_layer(gemm("x", m, kk, kk), pkg.chiplets().front().array).latency_s;
+      analyze_layer(gemm("x", m, kk, kk), pkg.chiplets().front().array)
+          .latency_s;
   SimOptions opt;
   opt.frames = rng.range(8, 48);
   const int load = rng.range(0, 3);  // burst, 2x overload, matched, half load
@@ -613,7 +629,8 @@ SimResult run_identical_layers(int k) {
   opt.nop_mode = rng.coin() ? NopMode::kContended : NopMode::kAnalytical;
   opt.model_nop_delays = rng.range(0, 3) != 0;
   if (rng.coin()) {
-    opt.policy = rng.coin() ? PlacementPolicy::kPriority : PlacementPolicy::kShared;
+    opt.policy =
+        rng.coin() ? PlacementPolicy::kPriority : PlacementPolicy::kShared;
     for (int t = 0; t < 2; ++t) {
       TenantStream ts;
       ts.name = t == 0 ? "a" : "b";

@@ -384,8 +384,8 @@ TEST(SimEngine, FaultFreeRunsPopAlmostNoBusyDispatch) {
     EXPECT_LE(busy * 10, static_cast<long long>(out.tasks_executed))
         << busy << " busy dispatches for " << out.tasks_executed << " tasks";
     // At least each admission, each shard finish and each shard dispatch.
-    EXPECT_GE(events, 2LL * out.tasks_executed +
-                          static_cast<long long>(out.frame_completion_s.size()));
+    const auto frames = static_cast<long long>(out.frame_completion_s.size());
+    EXPECT_GE(events, 2LL * out.tasks_executed + frames);
   }
 
   engine.reset();
