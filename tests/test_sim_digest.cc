@@ -16,11 +16,14 @@
 // to the event loop that is meant to be behaviour-preserving must pass
 // this suite unedited. Each configuration runs twice: one-shot through
 // simulate_schedule, and on one engine shared by all configurations (the
-// warm path, with cross-configuration pollution). Two further tests pin
-// pipelines whose shard ready times tie chiplet completions to within
-// kTimeEps, where the dispatch decision depends on which of two nearly
-// equal instants is handled first. A mismatch prints the replacement
-// table row; re-pin only for an intended change of results.
+// warm path, with cross-configuration pollution). A second table pins the
+// events each configuration pops and its busy dispatches. Two further
+// tests pin pipelines whose shard ready times tie chiplet completions to
+// within kTimeEps, where the dispatch decision depends on which of two
+// nearly equal instants is handled first, and a last one pins faults that
+// revoke running tasks, whose completion events then surface stale. A
+// mismatch prints the replacement table row; re-pin only for an intended
+// change of results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -497,6 +500,115 @@ TEST(SimDigest, SeededConfigurationsMatchPinnedResults) {
   }
 }
 
+// The event-loop work of each seeded configuration: EngineStats' events
+// popped and busy dispatches for one run, pinned exactly. A change that
+// keeps the pop sequence (a different event container, a merged queue)
+// keeps these counts; one that drops or adds events must re-pin them.
+struct CountPin {
+  int config;
+  long long events;
+  long long busy;
+};
+
+// Generated by this suite; see the header comment before editing.
+constexpr CountPin kCountPins[] = {
+    {0, 217, 0},
+    {1, 339, 2},
+    {2, 144, 0},
+    {3, 308, 3},
+    {4, 470, 3},
+    {5, 225, 3},
+    {6, 113, 0},
+    {7, 20616, 8},
+    {8, 221, 2},
+    {9, 309, 7},
+    {10, 81, 0},
+    {11, 448, 0},
+    {12, 65, 1},
+    {13, 96, 2},
+    {14, 198, 0},
+    {15, 30670, 1},
+    {16, 186, 1},
+    {17, 450, 5},
+    {18, 698, 2},
+    {19, 288, 3},
+    {20, 328, 0},
+    {21, 418, 5},
+    {22, 284, 1},
+    {23, 25741, 4},
+    {24, 273, 2},
+    {25, 225, 1},
+    {26, 125, 4},
+    {27, 475, 0},
+    {28, 318, 0},
+    {29, 468, 0},
+    {30, 111, 0},
+    {31, 27368, 13},
+    {32, 471, 7},
+    {33, 584, 14},
+    {34, 461, 2},
+    {35, 259, 7},
+    {36, 267, 0},
+    {37, 245, 6},
+    {38, 55, 1},
+    {39, 26771, 10},
+    {40, 147, 1},
+    {41, 516, 5},
+    {42, 183, 0},
+    {43, 644, 5},
+    {44, 188, 0},
+    {45, 178, 0},
+    {46, 255, 0},
+    {47, 20252, 0},
+    {48, 83, 2},
+    {49, 144, 1},
+    {50, 42, 0},
+    {51, 375, 4},
+    {52, 72, 2},
+    {53, 307, 6},
+    {54, 132, 0},
+    {55, 19474, 0},
+    {56, 99, 0},
+    {57, 393, 1},
+    {58, 88, 2},
+    {59, 392, 6},
+    {60, 146, 0},
+    {61, 531, 6},
+    {62, 132, 2},
+    {63, 15800, 0},
+};
+
+TEST(SimDigest, SeededConfigurationsPopPinnedEventCounts) {
+  ASSERT_EQ(std::size(kCountPins), static_cast<std::size_t>(kConfigs))
+      << "pin table incomplete";
+  std::vector<Config> configs;
+  for (int k = 0; k < kConfigs; ++k) configs.push_back(make_config(k));
+  SimEngine shared;
+  SimResult out;
+  for (int k = 0; k < kConfigs; ++k) {
+    const Config& cfg = configs[static_cast<std::size_t>(k)];
+    SCOPED_TRACE(cfg.label);
+    SimEngine fresh;
+    fresh.run_into(*cfg.primary, cfg.options, out);
+    const EngineStats before = shared.stats();
+    shared.run_into(*cfg.primary, cfg.options, out);
+    const EngineStats& one = fresh.stats();
+    const CountPin& pin = kCountPins[k];
+    char row[96];
+    std::snprintf(row, sizeof(row), "    {%d, %lld, %lld},", k,
+                  one.events_processed, one.busy_dispatches);
+    EXPECT_EQ(pin.config, k);
+    EXPECT_EQ(one.events_processed, pin.events) << "pin row: " << row;
+    EXPECT_EQ(one.busy_dispatches, pin.busy) << "pin row: " << row;
+    EXPECT_EQ(shared.stats().events_processed - before.events_processed,
+              pin.events)
+        << "warm engine diverged from one-shot";
+    EXPECT_EQ(shared.stats().busy_dispatches - before.busy_dispatches,
+              pin.busy)
+        << "warm engine diverged from one-shot";
+  }
+}
+
 // Balanced chains: a two-stage GEMM pipeline whose layer costs make many
 // shard ready times land within an ulp of the completion of the task
 // ahead of them on the same chiplet — the kTimeEps window in which the
@@ -650,6 +762,157 @@ TEST(SimDigest, IdenticalLayerPipelinesMatchPinnedResults) {
     Digest d;
     for (int k = pin.first; k < pin.first + kPerPin; ++k) {
       d.add(digest_of(run_identical_layers(k)));
+    }
+    EXPECT_EQ(d.value(), pin.digest)
+        << "pin row: {" << pin.first << ", 0x" << std::hex << d.value()
+        << "ull},";
+  }
+}
+
+// Faults that land while tasks are in flight. Every layer shares one GEMM
+// shape of service time s and items are not sharded, so with NoP delays
+// off every admission, start and completion sits on a multiple of s, and
+// a fail time of (j + frac) * s revokes each running task with exactly
+// (1 - frac) * s of service left. The reschedule penalty is drawn shorter
+// than that remainder (the revoked task's completion dispatch pops after
+// the resume, on a live chiplet) or longer (it pops before the resume and
+// finds the chiplet stalled). With NoP delays on, the same draws land near
+// those instants instead. The axes cycle with k: one or two tenants,
+// recovery, weight reload traffic and the penalty side. Each digest folds
+// kStalePerPin runs together with their EngineStats event counts, and
+// every run repeats on one shared engine, which must agree bit for bit.
+struct StalePin {
+  int first;
+  std::uint64_t digest;
+};
+
+constexpr int kStalePerPin = 16;
+constexpr StalePin kStalePins[] = {
+    {0, 0x48b5c6018b1d2a76ull},
+    {16, 0x9d4c4ec8c101f4a6ull},
+    {32, 0xf301c9f5991b437aull},
+    {48, 0x00f21b565a08836bull},
+};
+
+// A stale-finish configuration: the schedule it runs and its options.
+struct StaleConfig {
+  std::unique_ptr<PackageConfig> package;
+  std::unique_ptr<PerceptionPipeline> pipe;
+  std::unique_ptr<Schedule> schedule;
+  SimOptions options;
+};
+
+StaleConfig make_stale_config(int k) {
+  Rng rng(0x57A1Eull + static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ull);
+  const bool two_tenants = k % 2 == 1;
+  const bool recovers = (k / 2) % 2 == 1;
+  const bool reload = (k / 4) % 2 == 1;
+  const bool longer = (k / 8) % 2 == 1;
+  StaleConfig cfg;
+  cfg.package = std::make_unique<PackageConfig>(
+      make_simba_package(rng.range(2, 3), rng.range(2, 3)));
+  PackageConfig& pkg = *cfg.package;
+  if (reload) {
+    MemorySpec mem;
+    mem.reload_bandwidth_bytes_per_s = rng.uniform(5e9, 5e10);
+    if (rng.coin()) mem = make_calibrated_memory();
+    pkg.set_memory(mem);
+  }
+  const int m = rng.range(512, 4096);
+  const int kk = rng.range(16, 128);
+  cfg.pipe = std::make_unique<PerceptionPipeline>();
+  Stage s0{"S0", {}};
+  const int models = rng.range(1, 3);
+  for (int mi = 0; mi < models; ++mi) {
+    Model md;
+    md.name = "m" + std::to_string(mi);
+    const int layers = rng.range(1, 3);
+    for (int l = 0; l < layers; ++l) {
+      md.layers.push_back(gemm(md.name + "g" + std::to_string(l), m, kk, kk));
+    }
+    s0.models.push_back({md, false});
+  }
+  cfg.pipe->stages.push_back(s0);
+  if (rng.coin()) {
+    Model f;
+    f.name = "f";
+    f.layers = {gemm("f0", m, kk, kk)};
+    cfg.pipe->stages.push_back(Stage{"S1", {{f, false}}});
+  }
+  cfg.schedule = std::make_unique<Schedule>(*cfg.pipe, pkg);
+  const int n = pkg.num_chiplets();
+  for (int i = 0; i < cfg.schedule->num_items(); ++i) {
+    cfg.schedule->assign(
+        i, pkg.chiplets()[static_cast<std::size_t>(rng.range(0, n - 1))].id);
+  }
+  const double s =
+      analyze_layer(gemm("x", m, kk, kk), pkg.chiplets().front().array)
+          .latency_s;
+
+  SimOptions& opt = cfg.options;
+  const int nop = rng.range(0, 3);  // delays off twice as often
+  opt.model_nop_delays = nop >= 2;
+  opt.nop_mode = nop == 3 ? NopMode::kContended : NopMode::kAnalytical;
+  const int frames = rng.range(6, 24);
+  if (two_tenants) {
+    opt.policy =
+        rng.coin() ? PlacementPolicy::kPriority : PlacementPolicy::kShared;
+    for (int t = 0; t < 2; ++t) {
+      TenantStream ts;
+      ts.name = t == 0 ? "a" : "b";
+      ts.schedule = cfg.schedule.get();
+      ts.frames = t == 0 ? frames : rng.range(4, 16);
+      ts.frame_interval_s = s * rng.range(0, 2);
+      ts.priority = t;
+      opt.tenants.push_back(ts);
+    }
+  } else {
+    opt.frames = frames;
+    opt.frame_interval_s = s * rng.range(0, 2);
+  }
+
+  int victim = -1;
+  while (victim < 0) {
+    const ChipletSpec& c =
+        pkg.chiplets()[static_cast<std::size_t>(rng.range(0, n - 1))];
+    if (!pkg.io_port_attached_to(c.id)) victim = c.id;
+  }
+  const double frac = rng.uniform(0.25, 0.75);
+  const double left = (1.0 - frac) * s;
+  opt.fault.chiplet_id = victim;
+  opt.fault.fail_time_s = (rng.range(1, frames / 2) + frac) * s;
+  opt.fault.reschedule_penalty_s =
+      longer ? left * rng.uniform(1.25, 3.0) : left * rng.uniform(0.0, 0.75);
+  if (recovers) {
+    opt.fault.recover_time_s =
+        opt.fault.fail_time_s + s * rng.uniform(0.5, 4.0);
+  }
+  return cfg;
+}
+
+TEST(SimDigest, FaultsOverInFlightTasksMatchPinnedResults) {
+  ASSERT_EQ(std::size(kStalePins), 4u) << "pin table incomplete";
+  // Every configuration outlives the shared engine's program cache.
+  std::vector<StaleConfig> configs;
+  for (int k = 0; k < kStalePerPin * 4; ++k) {
+    configs.push_back(make_stale_config(k));
+  }
+  SimEngine shared;
+  SimResult warm;
+  for (const StalePin& pin : kStalePins) {
+    Digest d;
+    for (int k = pin.first; k < pin.first + kStalePerPin; ++k) {
+      SCOPED_TRACE("stale config " + std::to_string(k));
+      const StaleConfig& cfg = configs[static_cast<std::size_t>(k)];
+      SimEngine fresh;
+      SimResult one;
+      fresh.run_into(*cfg.schedule, cfg.options, one);
+      shared.run_into(*cfg.schedule, cfg.options, warm);
+      const std::uint64_t got = digest_of(one);
+      d.add(got);
+      d.add(static_cast<std::uint64_t>(fresh.stats().events_processed));
+      d.add(static_cast<std::uint64_t>(fresh.stats().busy_dispatches));
+      EXPECT_EQ(digest_of(warm), got) << "warm engine diverged from one-shot";
     }
     EXPECT_EQ(d.value(), pin.digest)
         << "pin row: {" << pin.first << ", 0x" << std::hex << d.value()
