@@ -33,8 +33,8 @@
 //     of every warm probe against a fresh plan.
 //
 // Both sections also report the warm path's event-loop load, read from
-// EngineStats: events per run, events per executed task, and warm host time
-// per event.
+// EngineStats: events per run, events per executed task, warm host time per
+// event, and the engine's event-heap high-water mark.
 //
 // Artifacts: bench_simspeed.csv / bench_simspeed.json (points, elapsed,
 // points/sec, speedups and event-loop load per section; the JSON is
@@ -94,16 +94,19 @@ Timing measure(int points_per_pass, double min_elapsed_s, Fn&& pass) {
 }
 
 // The warm path's event-loop work over its timed passes: EngineStats
-// deltas plus the tasks the runs executed.
+// deltas plus the tasks the runs executed, and the largest event heap the
+// engine has held (a high-water mark, not a delta).
 struct EventLoad {
   long long runs = 0;
   long long events = 0;
   long long tasks = 0;
+  long long heap_high_water = 0;
 
   static EventLoad between(const EngineStats& before, const EngineStats& after,
                            long long tasks) {
     return {after.runs - before.runs,
-            after.events_processed - before.events_processed, tasks};
+            after.events_processed - before.events_processed, tasks,
+            after.event_heap_high_water};
   }
   double per_run() const {
     return runs > 0 ? static_cast<double>(events) / runs : 0.0;
@@ -135,8 +138,9 @@ struct SectionResult {
 
 void print_event_load(const SectionResult& s) {
   std::printf("  event loop (warm): %.1f events/run, %.3f events/task, "
-              "%.1f ns/event\n",
-              s.warm_load.per_run(), s.warm_load.per_task(), s.ns_per_event());
+              "%.1f ns/event, event heap high water %lld\n",
+              s.warm_load.per_run(), s.warm_load.per_task(), s.ns_per_event(),
+              s.warm_load.heap_high_water);
 }
 
 // ---------------------------------------------------------------------------
@@ -375,12 +379,14 @@ void write_artifacts(const std::vector<SectionResult>& sections, bool pass) {
                   "oneshot_points_per_sec", "warm_points_per_sec",
                   "speedup_vs_stateless", "speedup_vs_oneshot",
                   "parallel_points_per_sec", "speedup_floor",
-                  "events_per_run", "events_per_task", "ns_per_event"});
+                  "events_per_run", "event_heap_high_water", "events_per_task",
+                  "ns_per_event"});
   for (const SectionResult& s : sections) {
     csv.add_row({s.name, fmt(s.stateless.pps()), fmt(s.oneshot.pps()),
                  fmt(s.warm.pps()), fmt(s.speedup()),
                  fmt(s.speedup_vs_oneshot()), fmt(s.parallel_pps),
                  fmt(s.floor), fmt(s.warm_load.per_run()),
+                 std::to_string(s.warm_load.heap_high_water),
                  fmt(s.warm_load.per_task()), fmt(s.ns_per_event())});
   }
   const bool csv_ok = csv.write_file(bench::artifact_path("bench_simspeed.csv"));
@@ -401,6 +407,8 @@ void write_artifacts(const std::vector<SectionResult>& sections, bool pass) {
     w.key("parallel_points_per_sec").value(s.parallel_pps);
     w.key("speedup_floor").value(s.floor);
     w.key("events_per_run").value(s.warm_load.per_run());
+    w.key("event_heap_high_water")
+        .value(static_cast<int>(s.warm_load.heap_high_water));
     w.key("events_per_task").value(s.warm_load.per_task());
     w.key("ns_per_event").value(s.ns_per_event());
     w.end_object();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -232,8 +233,13 @@ struct Ev {
   int a;  // admit: frame; finish: frame; dispatch: dense chiplet
   int b;  // finish: item
   int c;  // finish: frame epoch at dispatch (stale-event filter)
+  int chiplet;  // finish: dense chiplet that ran the task (not ordered)
 };
 
+// Total over the ordered fields. Two shard finishes of one item at one
+// instant tie (only `chiplet` differs), and either order does the same
+// work: both decrement the item's shard count, the second completes it,
+// and both chiplets join the dispatch lane before any dispatch pops.
 struct EvAfter {
   bool operator()(const Ev& x, const Ev& y) const {
     if (x.time != y.time) return x.time > y.time;
@@ -296,6 +302,7 @@ template <typename T, typename After>
 class MinHeap {
  public:
   bool empty() const { return v_.empty(); }
+  std::size_t size() const { return v_.size(); }
   const T& top() const { return v_.front(); }
   void push(T x) {
     v_.push_back(std::move(x));
@@ -621,6 +628,9 @@ struct SimEngine::Impl {
   // +inf when none is armed (see run_into's `arm`).
   std::vector<double> wake;
   MinHeap<Ev, EvAfter> events;
+  // The dispatch lane: chiplets whose completion dispatch is due at the
+  // current instant, least id first (see run_into's event loop).
+  MinHeap<int, std::greater<int>> due;
   // Link-stats replay: the dense indices this run's programs resolved, in
   // the order a fresh fabric would have registered them.
   std::vector<int> run_links;
@@ -780,6 +790,7 @@ struct SimEngine::Impl {
     chiplet_busy.clear();
     wake.clear();
     events.clear();
+    due.clear();
     run_links.clear();
     link_mark.clear();
     mark_epoch = 0;
@@ -1027,6 +1038,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   chiplet_busy.assign(static_cast<std::size_t>(nc), 0.0);
   wake.assign(static_cast<std::size_t>(nc), inf);
   events.clear();
+  due.clear();
 
   // Reset every field of the caller's result object (run_into reuses its
   // buffers; a stale field from a previous run must not leak through).
@@ -1052,9 +1064,16 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   result.reload_time_s = 0.0;
   result.tenants.resize(static_cast<std::size_t>(num_tenants));
 
+  const auto post = [&](const Ev& e) {
+    events.push(e);
+    const auto n = static_cast<long long>(events.size());
+    if (n > stats.event_heap_high_water) stats.event_heap_high_water = n;
+  };
+
   // Dispatch arming. The loop keeps three invariants per chiplet c:
-  //  1. a busy chiplet has a dispatch queued at chiplet_free[c] (pushed
-  //     unconditionally by task dispatch, fault, reload and recovery);
+  //  1. a busy chiplet has a dispatch due at chiplet_free[c]: a task's
+  //     completion dispatch rides on its kFinish and enters the lane `due`
+  //     when that finish pops; fault, reload and recovery push theirs;
   //  2. an idle chiplet with pending work has one armed dispatch, at
   //     wake[c] <= its earliest pending ready time;
   //  3. only the next admission of each tenant is in the heap.
@@ -1069,7 +1088,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     double& w = wake[static_cast<std::size_t>(c)];
     if (t < w) {
       w = t;
-      events.push(Ev{t, kDispatch, c, 0, 0});
+      post(Ev{t, kDispatch, c, 0, 0, 0});
     }
   };
 
@@ -1079,7 +1098,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   };
 
   // A shard ready at `at` on a chiplet busy past `at` is picked up by the
-  // dispatch queued at chiplet_free (invariant 1); otherwise it needs an
+  // dispatch due at chiplet_free (invariant 1); otherwise it needs an
   // armed dispatch at or before `at`.
   const auto enqueue_item_shards = [&](int job, int item, double at) {
     const auto& shards =
@@ -1135,18 +1154,31 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // that pushes it and the pop sequence is that of a fully seeded heap.
   for (int t = 0; t < num_tenants; ++t) {
     const int j = ctx[static_cast<std::size_t>(t)].job_base;
-    events.push(Ev{admit_of[static_cast<std::size_t>(j)], kAdmit, j, 0, 0});
+    post(Ev{admit_of[static_cast<std::size_t>(j)], kAdmit, j, 0, 0, 0});
   }
   if (faulted) {
-    events.push(Ev{fault.fail_time_s, kFault, 0, 0, 0});
+    post(Ev{fault.fail_time_s, kFault, 0, 0, 0, 0});
     if (fault.recover_time_s >= 0.0) {
-      events.push(Ev{fault.recover_time_s, kRecover, 0, 0, 0});
+      post(Ev{fault.recover_time_s, kRecover, 0, 0, 0, 0});
     }
   }
 
-  while (!events.empty()) {
-    const Ev ev = events.top();
-    events.pop();
+  // Two sources: the heap and the lane of completion dispatches, each lane
+  // entry standing for (due_at, kDispatch, c). A kFinish pops at the
+  // current instant and every lane entry sorts before any later event, so
+  // the lane drains before time advances and due_at is that one instant;
+  // taking the lesser head under EvAfter pops exactly the sequence of a
+  // single heap holding both (equal keys are the same dispatch).
+  double due_at = 0.0;
+  while (!events.empty() || !due.empty()) {
+    Ev ev;
+    if (!due.empty()) ev = Ev{due_at, kDispatch, due.top(), 0, 0, 0};
+    if (!due.empty() && (events.empty() || EvAfter{}(events.top(), ev))) {
+      due.pop();
+    } else {
+      ev = events.top();
+      events.pop();
+    }
     ++stats.events_processed;
     const double now = ev.time;
     switch (ev.kind) {
@@ -1155,8 +1187,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         const int tn = tenant_of[static_cast<std::size_t>(f)];
         const StreamSpec& st = streams[static_cast<std::size_t>(tn)];
         if (f + 1 < ctx[static_cast<std::size_t>(tn)].job_base + st.frames) {
-          events.push(Ev{admit_of[static_cast<std::size_t>(f + 1)], kAdmit,
-                         f + 1, 0, 0});
+          post(Ev{admit_of[static_cast<std::size_t>(f + 1)], kAdmit, f + 1, 0,
+                  0, 0});
         }
         const AdmissionControl& ac = *st.admission;
         if (ac.policy != ShedPolicy::kNone &&
@@ -1211,6 +1243,9 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         break;
       }
       case kFinish: {
+        // The running task's completion dispatch, stale finish or not.
+        due_at = now;
+        due.push(ev.chiplet);
         const int f = ev.a;
         const int item = ev.b;
         // Stale: the frame was flushed (and possibly dropped) after this
@@ -1262,7 +1297,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           ready[static_cast<std::size_t>(c)].clear();
           chiplet_free[static_cast<std::size_t>(c)] = c == dead ? inf : resume;
           wake[static_cast<std::size_t>(c)] = c == dead ? inf : resume;
-          if (c != dead) events.push(Ev{resume, kDispatch, c, 0, 0});
+          if (c != dead) post(Ev{resume, kDispatch, c, 0, 0, 0});
         }
         // Cold-start weight reloads (memory model active only; the plans
         // are empty otherwise): every tenant's remap destinations refill
@@ -1284,7 +1319,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
             const std::size_t c = static_cast<std::size_t>(rp.dense_chiplet);
             chiplet_free[c] += delay;
             wake[c] = chiplet_free[c];
-            events.push(Ev{chiplet_free[c], kDispatch, rp.dense_chiplet, 0, 0});
+            post(Ev{chiplet_free[c], kDispatch, rp.dense_chiplet, 0, 0, 0});
             result.reload_bytes += rp.bytes;
             result.reload_time_s += delay;
           }
@@ -1359,16 +1394,16 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         }
         wake[static_cast<std::size_t>(dead)] =
             chiplet_free[static_cast<std::size_t>(dead)];
-        events.push(
-            Ev{chiplet_free[static_cast<std::size_t>(dead)], kDispatch, dead,
-               0, 0});
+        post(Ev{chiplet_free[static_cast<std::size_t>(dead)], kDispatch, dead,
+                0, 0, 0});
         break;
       }
       case kDispatch:
       default: {
         const std::size_t c = static_cast<std::size_t>(ev.a);
         if (wake[c] == now) wake[c] = inf;  // the armed dispatch fired
-        // Busy: the dispatch pushed at this task's completion will re-check.
+        // Busy: the completion dispatch riding on the running task's
+        // kFinish will re-check.
         if (!free_at(ev.a, now)) {
           ++stats.busy_dispatches;
           break;
@@ -1438,7 +1473,6 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         chiplet_busy[c] += service;
         ++result.tasks_executed;
         wake[c] = done;
-        events.push(Ev{done, kDispatch, ev.a, 0, 0});
         // A pending shard that becomes ready within kTimeEps before `done`
         // finds the chiplet free by the same test, so it is dispatched at
         // its ready time, ahead of the completion.
@@ -1446,8 +1480,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
             [](const PendingShard& p) { return p.ready; },
             [&](double r) { return free_at(ev.a, r); }, done);
         if (early < done) arm(ev.a, early);
-        events.push(Ev{done, kFinish, task.job, task.item,
-                       epoch_of[static_cast<std::size_t>(task.job)]});
+        post(Ev{done, kFinish, task.job, task.item,
+                epoch_of[static_cast<std::size_t>(task.job)], ev.a});
         break;
       }
     }

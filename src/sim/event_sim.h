@@ -371,14 +371,18 @@ struct EngineStats {
   // adjacency re-check proved it is THE sorted order of the current run's
   // admission instants, so no sort was needed).
   long long warm_starts = 0;
-  // Events popped from the event heap, all kinds (admissions, shard
-  // finishes, dispatches, fault and recovery).
+  // Events popped, all kinds (admissions, shard finishes, dispatches,
+  // fault and recovery), completion dispatches taken from the per-instant
+  // dispatch lane included.
   long long events_processed = 0;
   // Dispatch events popped while their chiplet was still busy: no work
   // done. Rare: a completion's dispatch overtaken by a shard that became
   // ready within kTimeEps before it, a wake superseded by an earlier one,
   // and the dispatches a fault flush strands.
   long long busy_dispatches = 0;
+  // The largest event-heap size any run reached (the dispatch lane not
+  // counted).
+  long long event_heap_high_water = 0;
 };
 
 // Reusable simulation engine: simulate_schedule with all per-run state —

@@ -355,7 +355,7 @@ TEST(SimEngine, SteadyStateRunsAreAllocationFree) {
 // dispatch per chiplet the only busy pops left are a completion's dispatch
 // overtaken by a shard that became ready within kTimeEps before it (the
 // burst shapes below have one such tie) and a wake superseded by an earlier
-// one.
+// one. The event heap's high-water mark is kept until reset().
 TEST(SimEngine, FaultFreeRunsPopAlmostNoBusyDispatch) {
   const PerceptionPipeline pipe = make_pipe();
   const PackageConfig pkg = make_simba_package(2, 2);
@@ -387,10 +387,15 @@ TEST(SimEngine, FaultFreeRunsPopAlmostNoBusyDispatch) {
     const auto frames = static_cast<long long>(out.frame_completion_s.size());
     EXPECT_GE(events, 2LL * out.tasks_executed + frames);
   }
+  // The event heap held something, and never more than was ever popped.
+  EXPECT_GT(engine.stats().event_heap_high_water, 0);
+  EXPECT_LE(engine.stats().event_heap_high_water,
+            engine.stats().events_processed);
 
   engine.reset();
   EXPECT_EQ(engine.stats().events_processed, 0);
   EXPECT_EQ(engine.stats().busy_dispatches, 0);
+  EXPECT_EQ(engine.stats().event_heap_high_water, 0);
 }
 
 // ServingPlan is the warm path the load search probes run on: it must
