@@ -1064,6 +1064,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   result.reload_time_s = 0.0;
   result.tenants.resize(static_cast<std::size_t>(num_tenants));
 
+  // Every heap push; keeps EngineStats::event_heap_high_water.
   const auto post = [&](const Ev& e) {
     events.push(e);
     const auto n = static_cast<long long>(events.size());
