@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
+#include "analysis/bounds.h"
 #include "dataflow/cost_model.h"
+#include "sim/event_sim.h"
 
 namespace cnpu {
 namespace {
@@ -245,6 +251,98 @@ TEST(EvaluatorHetero, WsChipletSlowsConvs) {
   sched.assign(0, 1);
   const double on_ws = evaluate_schedule(sched).pipe_s;
   EXPECT_GT(on_ws, on_os * 2.0);
+}
+
+// --- error contract: shards the package cannot price -----------------------
+//
+// A schedule may name a chiplet its package lacks: one it never had (S003)
+// or one without_chiplet removed (S004). Placing such a shard succeeds, so
+// the validator can report it; every consumer that needs the shard's cost
+// then throws std::out_of_range, the bounds analyzer skips the stream, and
+// simulate_schedule rejects it with the S003/S004 exception type.
+
+// Every item on chiplet 0, except item 0 whose single shard goes through
+// `place`.
+template <typename PlaceFn>
+void place_all(Schedule& s, PlaceFn&& place) {
+  for (int i = 1; i < s.num_items(); ++i) s.assign(i, 0);
+  place(s);
+}
+
+void expect_consumers_reject(const Schedule& s) {
+  EXPECT_THROW((void)item_latency_s(s, 0), std::out_of_range);
+  EXPECT_THROW((void)evaluate_schedule(s), std::out_of_range);
+  EXPECT_TRUE(analysis::compute_bounds(s).streams.empty());
+  EXPECT_THROW((void)simulate_schedule(s, SimOptions{}), std::out_of_range);
+}
+
+TEST(EvaluatorErrorContract, AssignToChipletNeverInPackage) {
+  const PerceptionPipeline pipe = tiny_pipeline();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  Schedule s(pipe, pkg);
+  place_all(s, [](Schedule& x) { EXPECT_NO_THROW(x.assign(0, 99)); });
+  expect_consumers_reject(s);
+}
+
+TEST(EvaluatorErrorContract, AssignToRemovedChiplet) {
+  const PerceptionPipeline pipe = tiny_pipeline();
+  const PackageConfig pkg = make_simba_package(2, 2).without_chiplet(3);
+  Schedule s(pipe, pkg);
+  place_all(s, [](Schedule& x) {
+    EXPECT_NO_THROW(x.assign_sharded(0, {0, 3}));
+  });
+  expect_consumers_reject(s);
+}
+
+TEST(EvaluatorErrorContract, RestoreAbsentAndRemovedChiplets) {
+  const PerceptionPipeline pipe = tiny_pipeline();
+  const PackageConfig pkg = make_simba_package(2, 2).without_chiplet(3);
+  for (const int id : {99, 3}) {
+    Schedule s(pipe, pkg);
+    place_all(s, [id](Schedule& x) {
+      EXPECT_NO_THROW(x.restore_placement(0, {{id, 1.0}}));
+    });
+    expect_consumers_reject(s);
+  }
+}
+
+// A present chiplet with a NaN or negative fraction still prices (the
+// fraction is clamped into the layer's rows), so the item has a latency
+// and the bounds analyzer skips the stream as structurally unsound. A
+// lone NaN shard is nobody's primary (primary_chiplet() is -1), so
+// pricing the item's NoP ingress edge throws std::out_of_range.
+TEST(EvaluatorErrorContract, RestoreMalformedFractions) {
+  const PerceptionPipeline pipe = tiny_pipeline();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  for (const double f : {std::numeric_limits<double>::quiet_NaN(), -0.5}) {
+    Schedule s(pipe, pkg);
+    place_all(s, [f](Schedule& x) {
+      EXPECT_NO_THROW(x.restore_placement(0, {{1, f}}));
+    });
+    EXPECT_GT(item_latency_s(s, 0), 0.0);
+    EXPECT_TRUE(analysis::compute_bounds(s).streams.empty());
+    if (std::isnan(f)) {
+      EXPECT_THROW((void)evaluate_schedule(s), std::out_of_range);
+      EXPECT_THROW((void)simulate_schedule(s, SimOptions{}), std::out_of_range);
+    } else {
+      EXPECT_NO_THROW((void)evaluate_schedule(s));
+      EXPECT_NO_THROW((void)simulate_schedule(s, SimOptions{}));
+    }
+  }
+}
+
+// Reassigning a shard off an absent chiplet makes the schedule priceable
+// again: the old, unpriceable shard leaves no trace.
+TEST(EvaluatorErrorContract, ReassignmentRecoversFromAbsentChiplet) {
+  const PerceptionPipeline pipe = tiny_pipeline();
+  const PackageConfig pkg = make_simba_package(2, 2);
+  Schedule s(pipe, pkg);
+  place_all(s, [](Schedule& x) { x.assign(0, 99); });
+  s.assign(0, 1);
+  Schedule fresh(pipe, pkg);
+  place_all(fresh, [](Schedule& x) { x.assign(0, 1); });
+  EXPECT_EQ(evaluate_schedule(s).e2e_s, evaluate_schedule(fresh).e2e_s);
+  EXPECT_EQ(analysis::compute_bounds(s).streams.size(), 1u);
 }
 
 }  // namespace

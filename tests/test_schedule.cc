@@ -91,6 +91,23 @@ TEST_F(ScheduleTest, ReassignmentReplaces) {
   EXPECT_EQ(sched_.placement(0).num_shards(), 1);
 }
 
+// Assignment never looks a chiplet up eagerly enough to throw: a shard on a
+// chiplet the package never had (S003) or lost (S004) is stored for the
+// validator to report.
+TEST_F(ScheduleTest, AssignAcceptsAbsentChiplets) {
+  EXPECT_NO_THROW(sched_.assign(0, 999));
+  EXPECT_EQ(sched_.placement(0).primary_chiplet(), 999);
+  EXPECT_NO_THROW(sched_.assign_sharded(1, {0, 999}));
+  EXPECT_NO_THROW(sched_.assign_weighted(2, {{999, 1.0}, {1, 3.0}}));
+  EXPECT_NO_THROW(sched_.restore_placement(3, {{-7, 1.0}}));
+
+  const PackageConfig degraded = pkg_.without_chiplet(5);
+  Schedule on_degraded(pipe_, degraded);
+  EXPECT_NO_THROW(on_degraded.assign(0, 5));
+  EXPECT_NO_THROW(on_degraded.restore_placement(1, {{5, 0.5}, {6, 0.5}}));
+  EXPECT_EQ(on_degraded.placement(1).num_shards(), 2);
+}
+
 TEST_F(ScheduleTest, ItemsOfStageConcatenatesModels) {
   const auto stage0 = sched_.items_of_stage(0);
   int count = 0;
