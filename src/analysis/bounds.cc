@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/evaluator.h"
-#include "dataflow/cost_model.h"
 #include "util/table.h"
 
 namespace cnpu::analysis {
@@ -51,30 +50,22 @@ struct StreamRef {
 };
 
 // Bounds require a structurally sound stream (every item assigned, every
-// shard chiplet present): anything the S/T structural rules would flag is
-// skipped rather than re-diagnosed here.
+// shard chiplet present, so every shard priced): anything the S/T
+// structural rules would flag is skipped rather than re-diagnosed here.
 bool structurally_clean(const Schedule& s) {
-  const PackageConfig& pkg = s.package();
   for (int i = 0; i < s.num_items(); ++i) {
     const Placement& p = s.placement(i);
     if (!p.assigned()) return false;
     for (const ShardAssignment& sh : p.shards) {
       if (!(sh.fraction > 0.0) || !std::isfinite(sh.fraction)) return false;
-      bool present = false;
-      for (const ChipletSpec& c : pkg.chiplets()) {
-        if (c.id == sh.chiplet_id) {
-          present = true;
-          break;
-        }
-      }
-      if (!present) return false;
+      if (sh.slot < 0) return false;
     }
   }
   return s.num_items() > 0;
 }
 
 // Everything one stream contributes, accumulated locally so a stream that
-// turns out unpriceable (analyze_layer throws on a malformed bundle layer)
+// turns out unpriceable (a NoP edge the degraded package cannot route)
 // is dropped whole instead of half-merged.
 struct StreamContribution {
   StreamBound bound;
@@ -98,15 +89,10 @@ StreamContribution price_stream(const StreamRef& v, const PackageConfig& pkg,
   // per-shard task cost) and per-chiplet busy accumulation.
   std::vector<double> lat(static_cast<std::size_t>(n), 0.0);
   for (int i = 0; i < n; ++i) {
-    const LayerDesc* desc = s.item(i).desc;
     double item_lat = 0.0;
-    for (const ShardAssignment& sh : s.placement(i).shards) {
-      const double shard_lat =
-          analyze_layer(shard_fraction(*desc, sh.fraction),
-                        pkg.chiplet(sh.chiplet_id).array)
-              .latency_s;
-      item_lat = std::max(item_lat, shard_lat);
-      out.chiplet_busy[sh.chiplet_id] += shard_lat;
+    for (const ShardAssignment& sh : s.priced(i).shards) {
+      item_lat = std::max(item_lat, sh.cost.latency_s);
+      out.chiplet_busy[sh.chiplet_id] += sh.cost.latency_s;
     }
     lat[static_cast<std::size_t>(i)] = item_lat;
   }
@@ -287,7 +273,7 @@ BoundsReport compute_bounds(const Schedule& schedule,
     try {
       c = price_stream(v, pkg, nop);
     } catch (const std::exception&) {
-      continue;  // unpriceable (malformed bundle layer): skip the stream
+      continue;  // unpriceable (unroutable NoP edge): skip the stream
     }
     priced_scheds.push_back(v.sched);
     for (const auto& [link, bytes] : c.link_bytes) {

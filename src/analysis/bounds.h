@@ -3,9 +3,9 @@
 //
 // Three provable statements per configuration:
 //  * Latency: the critical path of the shard DAG — per-item compute
-//    latency (max over shards of analyze_layer, exactly the simulator's
-//    task cost) chained through the analytical NoP delay of every
-//    scheduled edge, camera ingress included. Every simulated frame runs
+//    latency (max over shards of the schedule's stored shard cost, exactly
+//    the simulator's task cost) chained through the analytical NoP delay
+//    of every scheduled edge, camera ingress included. Every simulated frame runs
 //    this DAG with the same task costs and at least these edge delays;
 //    queueing, contention, cross-tenant interference, and reschedule
 //    stalls only ADD, so the bound is a lower bound on EVERY frame's

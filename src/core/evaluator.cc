@@ -1,7 +1,6 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace cnpu {
 namespace {
@@ -34,17 +33,9 @@ NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id) {
 }
 
 double item_latency_s(const Schedule& s, int item_idx) {
-  const Schedule::Item& it = s.item(item_idx);
-  const Placement& p = s.placement(item_idx);
-  if (!p.assigned()) {
-    throw std::logic_error("unassigned layer: " + it.desc->name);
-  }
   double latency = 0.0;
-  for (const auto& shard : p.shards) {
-    const LayerDesc piece = shard_fraction(*it.desc, shard.fraction);
-    const CostReport r =
-        analyze_layer(piece, s.package().chiplet(shard.chiplet_id).array);
-    latency = std::max(latency, r.latency_s);
+  for (const auto& shard : s.priced(item_idx).shards) {
+    latency = std::max(latency, shard.cost.latency_s);
   }
   return latency;
 }
@@ -62,34 +53,25 @@ ScheduleMetrics evaluate_schedule(const Schedule& s) {
     m.chiplets[static_cast<std::size_t>(c)].stage_busy_s.assign(
         static_cast<std::size_t>(num_stages), 0.0);
   }
-  auto usage_of = [&](int chiplet_id) -> ChipletUsage& {
-    for (auto& u : m.chiplets) {
-      if (u.chiplet_id == chiplet_id) return u;
-    }
-    throw std::out_of_range("chiplet id not in package");
-  };
 
-  // Pass 1: per-item shard costs -> chiplet usage + compute energy.
+  // Pass 1: stored shard costs -> chiplet usage + compute energy. A shard's
+  // slot is its chiplet's position in the package, so it indexes
+  // m.chiplets directly.
   std::vector<double> item_lat(static_cast<std::size_t>(s.num_items()), 0.0);
   for (int i = 0; i < s.num_items(); ++i) {
-    const Schedule::Item& it = s.item(i);
-    const Placement& p = s.placement(i);
-    if (!p.assigned()) {
-      throw std::logic_error("unassigned layer: " + it.desc->name);
-    }
+    const std::size_t stage = static_cast<std::size_t>(s.item(i).stage);
     double lat = 0.0;
-    for (const auto& shard : p.shards) {
-      const LayerDesc piece = shard_fraction(*it.desc, shard.fraction);
-      const CostReport r = analyze_layer(piece, pkg.chiplet(shard.chiplet_id).array);
+    for (const auto& shard : s.priced(i).shards) {
+      const ShardCost& r = shard.cost;
       lat = std::max(lat, r.latency_s);
-      ChipletUsage& u = usage_of(shard.chiplet_id);
+      ChipletUsage& u = m.chiplets[static_cast<std::size_t>(shard.slot)];
       u.busy_s += r.latency_s;
-      u.stage_busy_s[static_cast<std::size_t>(it.stage)] += r.latency_s;
+      u.stage_busy_s[stage] += r.latency_s;
       u.macs += r.macs;
-      u.energy_j += r.energy_j();
+      u.energy_j += r.energy_j;
       m.total_macs += r.macs;
-      m.compute_energy_j += r.energy_j();
-      m.stages[static_cast<std::size_t>(it.stage)].compute_energy_j += r.energy_j();
+      m.compute_energy_j += r.energy_j;
+      m.stages[stage].compute_energy_j += r.energy_j;
     }
     item_lat[static_cast<std::size_t>(i)] = lat;
   }

@@ -1,7 +1,8 @@
 // Schedule evaluator: turns a Schedule into the paper's metrics.
 //
 // Semantics (matching the paper's Figs. 5-8 / Table II accounting):
-//  * item latency    - max over its shards of analyze_layer on that chiplet
+//  * item latency    - max over its shards of the shard's stored cost
+//                      (analyze_layer on that chiplet, priced by Schedule)
 //  * chiplet busy    - sum of its shard latencies (per frame)
 //  * pipe latency    - max chiplet busy: the steady-state initiation
 //                      interval of the software-pipelined stream
@@ -85,8 +86,10 @@ NopCost nop_gather_cost(const PackageConfig& pkg, const Placement& from,
 NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id);
 
 // Latency of one item under its placement (max across shards), seconds.
+// Throws like Schedule::priced.
 double item_latency_s(const Schedule& s, int item_idx);
 
+// Throws like Schedule::priced for the first item it cannot price.
 ScheduleMetrics evaluate_schedule(const Schedule& s);
 
 }  // namespace cnpu

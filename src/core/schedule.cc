@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 
 namespace cnpu {
@@ -51,6 +50,37 @@ Schedule::Schedule(const PerceptionPipeline& pipeline,
   placements_.resize(items_.size());
 }
 
+const Placement& Schedule::priced(int idx) const {
+  const Placement& p = placements_[static_cast<std::size_t>(idx)];
+  if (!p.assigned()) {
+    throw std::logic_error("unassigned layer: " + item(idx).desc->name);
+  }
+  for (const auto& sh : p.shards) {
+    if (sh.slot < 0) {
+      throw std::out_of_range("no chiplet with id " +
+                              std::to_string(sh.chiplet_id));
+    }
+  }
+  return p;
+}
+
+void Schedule::place(int idx, std::vector<ShardAssignment> shards) {
+  const LayerDesc& desc = *items_[static_cast<std::size_t>(idx)].desc;
+  const std::vector<ChipletSpec>& specs = package_->chiplets();
+  for (auto& sh : shards) {
+    sh.slot = -1;
+    sh.cost = ShardCost{};
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      if (specs[k].id == sh.chiplet_id) {
+        sh.slot = static_cast<int>(k);
+        sh.cost = price_shard(desc, sh.fraction, specs[k].array);
+        break;
+      }
+    }
+  }
+  placements_[static_cast<std::size_t>(idx)].shards = std::move(shards);
+}
+
 void Schedule::assign(int idx, int chiplet_id) {
   assign_weighted(idx, {ShardAssignment{chiplet_id, 1.0}});
 }
@@ -72,11 +102,11 @@ void Schedule::assign_weighted(int idx, std::vector<ShardAssignment> shards) {
     total += s.fraction;
   }
   for (auto& s : shards) s.fraction /= total;
-  placements_[static_cast<std::size_t>(idx)].shards = std::move(shards);
+  place(idx, std::move(shards));
 }
 
 void Schedule::restore_placement(int idx, std::vector<ShardAssignment> shards) {
-  placements_[static_cast<std::size_t>(idx)].shards = std::move(shards);
+  place(idx, std::move(shards));
 }
 
 void Schedule::clear_assignment(int idx) {
@@ -95,28 +125,26 @@ std::vector<int> Schedule::items_of_stage(int stage) const {
   return out;
 }
 
-std::vector<int> Schedule::free_chiplets() const {
-  std::set<int> used;
+std::vector<int> Schedule::chiplets_in_use(bool used) const {
+  std::vector<char> mask(package_->chiplets().size(), 0);
   for (const auto& p : placements_) {
-    for (const auto& s : p.shards) used.insert(s.chiplet_id);
+    for (const auto& s : p.shards) {
+      if (s.slot >= 0) mask[static_cast<std::size_t>(s.slot)] = 1;
+    }
   }
   std::vector<int> out;
-  for (const auto& c : package_->chiplets()) {
-    if (used.count(c.id) == 0) out.push_back(c.id);
+  for (std::size_t k = 0; k < mask.size(); ++k) {
+    if ((mask[k] != 0) == used) out.push_back(package_->chiplets()[k].id);
   }
   return out;
 }
 
+std::vector<int> Schedule::free_chiplets() const {
+  return chiplets_in_use(false);
+}
+
 std::vector<int> Schedule::used_chiplets() const {
-  std::set<int> used;
-  for (const auto& p : placements_) {
-    for (const auto& s : p.shards) used.insert(s.chiplet_id);
-  }
-  std::vector<int> out;
-  for (const auto& c : package_->chiplets()) {
-    if (used.count(c.id) != 0) out.push_back(c.id);
-  }
-  return out;
+  return chiplets_in_use(true);
 }
 
 bool Schedule::fully_assigned() const {
@@ -137,6 +165,12 @@ LayerDesc shard_fraction(const LayerDesc& layer, double fraction) {
   shard.y = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::llround(static_cast<double>(layer.y) * fraction)));
   return shard;
+}
+
+ShardCost price_shard(const LayerDesc& layer, double fraction,
+                      const PeArrayConfig& array) {
+  const CostReport r = analyze_layer(shard_fraction(layer, fraction), array);
+  return ShardCost{r.latency_s, r.macs, r.energy_j()};
 }
 
 }  // namespace cnpu

@@ -4,21 +4,44 @@
 // per-chiplet work fractions (weights replicated on every shard). Chain
 // models may additionally be pipeline-split by assigning consecutive layer
 // ranges to different chiplets — that is just per-layer assignment here.
+//
+// Each shard is priced once, when it is placed: the schedule stores its
+// compute cost next to it, and the evaluator, the bounds analyzer, the
+// simulator's program compile and fault remapping all read that one number.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "arch/package.h"
+#include "dataflow/cost_model.h"
 #include "workloads/model.h"
 
 namespace cnpu {
 
+// Compute cost of one shard on its chiplet: analyze_layer of the shard's
+// rows (shard_fraction) on that chiplet's PE array.
+struct ShardCost {
+  double latency_s = 0.0;
+  double macs = 0.0;
+  double energy_j = 0.0;
+};
+
 // One shard of one layer on one chiplet; `fraction` of the layer's token /
-// output-row dim (fractions of a placement sum to 1).
+// output-row dim (fractions of a placement sum to 1). `slot` and `cost` are
+// filled in by the Schedule that stores the shard; the values a caller
+// passes in are replaced.
 struct ShardAssignment {
+  ShardAssignment() = default;
+  ShardAssignment(int chiplet, double frac)
+      : chiplet_id(chiplet), fraction(frac) {}
+
   int chiplet_id = -1;
+  // Position of chiplet_id in package().chiplets(); -1 when the package has
+  // no such chiplet, in which case the shard is unpriced.
+  int slot = -1;
   double fraction = 1.0;
+  ShardCost cost;
 };
 
 struct Placement {
@@ -42,7 +65,10 @@ class Schedule {
     bool prefix = false;  // belongs to a stage prefix model
   };
 
-  // `pipeline` and `package` must outlive the schedule.
+  // `pipeline` and `package` must outlive the schedule. Shard costs are
+  // priced against the package's chiplet arrays when each shard is placed,
+  // so those arrays (set_chiplet_dataflow) must not change while a schedule
+  // on the package is alive: configure the package first, then schedule.
   Schedule(const PerceptionPipeline& pipeline, const PackageConfig& package);
 
   const PerceptionPipeline& pipeline() const { return *pipeline_; }
@@ -54,6 +80,16 @@ class Schedule {
     return placements_[static_cast<std::size_t>(idx)];
   }
 
+  // Item `idx`'s placement for a consumer of its shard costs. Throws
+  // std::logic_error when the item is unassigned and std::out_of_range when
+  // a shard names a chiplet the package lacks (never had, or lost to
+  // without_chiplet): such a shard is stored unpriced, for the validator to
+  // report as S003/S004.
+  const Placement& priced(int idx) const;
+
+  // Every assign_* / restore / clear call replaces the item's shards and
+  // their stored costs. None of them throws for an absent chiplet.
+  //
   // Whole layer on one chiplet.
   void assign(int idx, int chiplet_id);
   // Even data-parallel shard across `chiplets`.
@@ -83,6 +119,11 @@ class Schedule {
   std::string describe() const;
 
  private:
+  // Stores `shards` as item `idx`'s placement, pricing each one.
+  void place(int idx, std::vector<ShardAssignment> shards);
+  // Package chiplet ids whose used-by-some-shard state equals `used`.
+  std::vector<int> chiplets_in_use(bool used) const;
+
   const PerceptionPipeline* pipeline_;
   const PackageConfig* package_;
   std::vector<Item> items_;
@@ -93,6 +134,11 @@ class Schedule {
 
 // LayerDesc for one weighted shard of `layer` (`fraction` of its rows).
 LayerDesc shard_fraction(const LayerDesc& layer, double fraction);
+
+// Cost of running `fraction` of `layer` on `array`: the price a Schedule
+// stores for such a shard.
+ShardCost price_shard(const LayerDesc& layer, double fraction,
+                      const PeArrayConfig& array);
 
 // The exact edge set the simulator wires (build_program in
 // sim/event_sim.cc) and the analytical evaluator prices: camera ingress

@@ -110,15 +110,9 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
   };
 
   for (int i = 0; i < sched.num_items(); ++i) {
-    const Placement& p = sched.placement(i);
-    if (!p.assigned()) {
-      throw std::logic_error("unassigned layer: " + sched.item(i).desc->name);
-    }
-    for (const auto& sh : p.shards) {
-      const LayerDesc piece = shard_fraction(*sched.item(i).desc, sh.fraction);
-      const CostReport r = analyze_layer(piece, pkg.chiplet(sh.chiplet_id).array);
+    for (const auto& sh : sched.priced(i).shards) {
       prog.shards_of_item[static_cast<std::size_t>(i)].push_back(
-          ShardTask{dense_of(sh.chiplet_id), r.latency_s});
+          ShardTask{dense_of(sh.chiplet_id), sh.cost.latency_s});
     }
   }
 
