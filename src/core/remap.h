@@ -37,7 +37,9 @@ struct RemapStats {
 
 // Rebuilds `schedule` onto `degraded` — typically
 // `schedule.package().without_chiplet(failed_chiplet)`, which must outlive
-// the returned schedule. Placements not using the failed chiplet are copied
+// the returned schedule. Survivor loads read the schedule's stored shard
+// costs, so `degraded` must carry the survivors' PE arrays unchanged (as
+// without_chiplet does). Placements not using the failed chiplet are copied
 // verbatim. Each orphaned shard moves to the survivor with the least
 // accumulated busy time (per-frame shard latency, the evaluator's busy
 // accounting) across the whole package; load ties prefer the failed

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dataflow/cost_model.h"
+
 namespace cnpu {
 
 int Placement::primary_chiplet() const {

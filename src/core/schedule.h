@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "arch/package.h"
-#include "dataflow/cost_model.h"
 #include "workloads/model.h"
 
 namespace cnpu {

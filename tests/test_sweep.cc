@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/bounds.h"
+#include "core/throughput_matching.h"
 #include "exp/sweep.h"
 #include "exp/sweep_runner.h"
 #include "exp/thread_pool.h"
+#include "sim_result_eq.h"
+#include "workloads/autopilot.h"
 
 namespace cnpu {
 namespace {
@@ -377,6 +381,66 @@ TEST(SweepResultTest, CsvSchemaAndArtifactFiles) {
   ASSERT_NE(f, nullptr);
   std::fclose(f);
   EXPECT_FALSE(r.write_csv("/nonexistent-dir/x.csv"));
+}
+
+// ------------------------------------------------ shared const schedule
+
+// What one point reads off the shared schedule.
+struct SharedRead {
+  ScheduleMetrics metrics;
+  double bound_s = 0.0;
+  SimResult sim;
+};
+
+// Four workers read one const matched schedule at once, through the
+// evaluator, the bounds analyzer and a per-slot SimEngine. Shard costs are
+// stored when the schedule is built, never filled in lazily behind a const
+// accessor, so every concurrent read must equal the serial one bit for bit
+// (and the TSan job sees no race).
+TEST(SweepRunnerTest, SharedConstScheduleReadsMatchSerial) {
+  const PerceptionPipeline pipe = build_autopilot_pipeline();
+  const PackageConfig pkg = make_simba_package(6, 6);
+  const MatchResult matched = throughput_matching(pipe, pkg);
+  const Schedule& sched = matched.schedule;
+
+  constexpr int kPoints = 12;
+  const auto read_all = [&](int threads) {
+    const SweepRunner runner(SweepOptions{threads});
+    std::vector<SimEngine> engines(
+        static_cast<std::size_t>(runner.worker_slots()));
+    return runner.map(kPoints, [&](int i) {
+      SimOptions opt;
+      opt.frames = 1 + i % 3;
+      opt.nop_mode = i % 2 == 0 ? NopMode::kAnalytical : NopMode::kContended;
+      SharedRead r;
+      r.metrics = evaluate_schedule(sched);
+      r.bound_s = analysis::compute_bounds(sched, opt).streams.at(0)
+                      .latency_bound_s;
+      const auto slot =
+          static_cast<std::size_t>(ThreadPool::current_worker_index() + 1);
+      engines[slot].run_into(sched, opt, r.sim);
+      return r;
+    });
+  };
+  const std::vector<SharedRead> serial = read_all(1);
+  const std::vector<SharedRead> parallel = read_all(4);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const ScheduleMetrics& a = serial[i].metrics;
+    const ScheduleMetrics& b = parallel[i].metrics;
+    testutil::expect_bits_eq(a.e2e_s, b.e2e_s, "e2e");
+    testutil::expect_bits_eq(a.pipe_s, b.pipe_s, "pipe");
+    testutil::expect_bits_eq(a.energy_j(), b.energy_j(), "energy");
+    testutil::expect_bits_eq(a.total_macs, b.total_macs, "macs");
+    testutil::expect_bits_eq(a.utilization, b.utilization, "utilization");
+    ASSERT_EQ(a.chiplets.size(), b.chiplets.size());
+    for (std::size_t c = 0; c < a.chiplets.size(); ++c) {
+      testutil::expect_bits_eq(a.chiplets[c].busy_s, b.chiplets[c].busy_s,
+                               "chiplet busy");
+    }
+    testutil::expect_bits_eq(serial[i].bound_s, parallel[i].bound_s, "bound");
+    testutil::expect_sim_results_bits_eq(serial[i].sim, parallel[i].sim);
+  }
 }
 
 }  // namespace
