@@ -394,14 +394,19 @@ struct SharedRead {
 
 // Four workers read one const matched schedule at once, through the
 // evaluator, the bounds analyzer and a per-slot SimEngine. Shard costs are
-// stored when the schedule is built, never filled in lazily behind a const
-// accessor, so every concurrent read must equal the serial one bit for bit
-// (and the TSan job sees no race).
+// stored when a shard is placed, never filled in lazily behind a const
+// accessor: the parallel reads come first, on a copy of the placements no
+// consumer has read yet, and each must equal the serial read after them
+// bit for bit (and the TSan job sees no race).
 TEST(SweepRunnerTest, SharedConstScheduleReadsMatchSerial) {
   const PerceptionPipeline pipe = build_autopilot_pipeline();
   const PackageConfig pkg = make_simba_package(6, 6);
   const MatchResult matched = throughput_matching(pipe, pkg);
-  const Schedule& sched = matched.schedule;
+  Schedule fresh(pipe, pkg);
+  for (int i = 0; i < fresh.num_items(); ++i) {
+    fresh.restore_placement(i, matched.schedule.placement(i).shards);
+  }
+  const Schedule& sched = fresh;
 
   constexpr int kPoints = 12;
   const auto read_all = [&](int threads) {
@@ -422,8 +427,8 @@ TEST(SweepRunnerTest, SharedConstScheduleReadsMatchSerial) {
       return r;
     });
   };
-  const std::vector<SharedRead> serial = read_all(1);
   const std::vector<SharedRead> parallel = read_all(4);
+  const std::vector<SharedRead> serial = read_all(1);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     const ScheduleMetrics& a = serial[i].metrics;
