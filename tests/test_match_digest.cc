@@ -5,7 +5,8 @@
 // every dse_cold grid design (4/6/8/12 cameras x 3..8 x 3..8 Simba
 // meshes), the three Table II stagewise monolithic baselines, the 36-chiplet
 // front end, memory-bounded packages (so matching's capacity-aware branches
-// run) and one heterogeneous package with weight-stationary chiplets.
+// run), one heterogeneous package with weight-stationary chiplets and the
+// 2-NPU scale-out with its base (FE chain) split.
 //
 // Per design, a 64-bit FNV-1a digest folds the hexfloat text of every
 // value the layer reports: each matching TraceStep (action, pipe, latbase,
@@ -26,6 +27,7 @@
 #include "arch/package.h"
 #include "core/baselines.h"
 #include "core/evaluator.h"
+#include "core/scaling.h"
 #include "core/throughput_matching.h"
 #include "sim/event_sim.h"
 #include "workloads/autopilot.h"
@@ -364,6 +366,24 @@ TEST(MatchDigest, HeterogeneousPackage) {
       pkg.set_chiplet_dataflow(row * 6 + 5, DataflowKind::kWeightStationary);
     }
     return matched_digest(pipe, pkg);
+  });
+}
+
+// The 2-NPU scale-out (Fig. 10): explicit pools, a frozen trunk stage and
+// allow_base_split, whose FE chain split is the one matching step that
+// moves stage-0 items.
+TEST(MatchDigest, ScaleOutTwoNpus) {
+  const std::vector<Pin> pins = {
+      {"2npu 72 chiplets base split", 0x2f56ff6cc1b56b5aull},
+  };
+  expect_pins(pins, [&](int) {
+    const ScaleOutResult r = scale_out_two_npus();
+    bool split = false;
+    for (const TraceStep& t : r.match.trace) {
+      split = split || t.action.rfind("split FE", 0) == 0;
+    }
+    EXPECT_TRUE(split) << "the scale-out run no longer splits the base stage";
+    return digest_of(r.match.schedule, r.match.trace);
   });
 }
 
