@@ -15,6 +15,7 @@
 //  * utilization     - total MACs / (PE-seconds of busy chiplets * freq)
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -89,7 +90,58 @@ NopCost nop_ingress_cost(const PackageConfig& pkg, int chiplet_id);
 // Throws like Schedule::priced.
 double item_latency_s(const Schedule& s, int item_idx);
 
-// Throws like Schedule::priced for the first item it cannot price.
+// Evaluator of one schedule that re-evaluates only what changed. Each
+// evaluate() compares the schedule's per-stage versions (Schedule::
+// stage_version) with those of its last successful pass:
+//  * pass 1 (chiplet busy/MACs/energy and the compute totals, running sums
+//    in item order) resumes from the sums it saved at the first changed
+//    stage's boundary — items are stage-major, so the result is bitwise
+//    that of a full pass;
+//  * pass 2 (chains, NoP edges, stage E2E and pipe) reruns for each changed
+//    stage and the stage after it, whose input edges read it;
+//  * the pipeline totals are summed again in stage order.
+// The metrics therefore always equal a fresh evaluate_schedule bitwise.
+//
+// The evaluator is caller-owned and reads the schedule through a const
+// reference: the schedule must outlive it and change only through its
+// assign*/restore_placement/clear_assignment calls (assigning another
+// Schedule object over it is not tracked). evaluate() throws what
+// evaluate_schedule throws; after a throw, metrics() is unspecified until
+// an evaluate() succeeds, which it does once the schedule is fixed.
+class ScheduleEvaluator {
+ public:
+  explicit ScheduleEvaluator(const Schedule& s);
+
+  // Brings the metrics up to date with the schedule and returns them.
+  const ScheduleMetrics& evaluate() &;
+  // One-shot form, ScheduleEvaluator(s).evaluate(): moves the metrics out.
+  ScheduleMetrics evaluate() &&;
+  const ScheduleMetrics& metrics() const { return m_; }
+
+ private:
+  // Pass 1 over stage `st`'s items, adding to the running sums.
+  void accumulate_stage(int st);
+  // Pass 2 for stage `st`: its chains, NoP edges, E2E and pipe.
+  void evaluate_stage(int st);
+  // Running pass-1 sums saved before stage `st`'s items, and their restore.
+  double* sums_of(int st);
+  void save_sums(int st);
+  void restore_sums(int st);
+
+  const Schedule* s_;
+  ScheduleMetrics m_;
+  std::vector<double> item_lat_;
+  // stage_begin_[st]..stage_begin_[st + 1]: stage st's item indices.
+  std::vector<int> stage_begin_;
+  // Per stage: chiplet busy, MACs and energy, then total MACs and compute
+  // energy, as they stood before the stage's first item.
+  std::vector<double> sums_;
+  // Stage versions of the last successful pass; empty before the first.
+  std::vector<std::uint64_t> seen_;
+};
+
+// ScheduleEvaluator(s).evaluate(). Throws like Schedule::priced for the
+// first item it cannot price.
 ScheduleMetrics evaluate_schedule(const Schedule& s);
 
 }  // namespace cnpu

@@ -50,6 +50,8 @@ Schedule::Schedule(const PerceptionPipeline& pipeline,
     }
   }
   placements_.resize(items_.size());
+  stage_version_.assign(pipeline.stages.size(), 0);
+  slot_shards_.assign(package.chiplets().size(), 0);
 }
 
 const Placement& Schedule::priced(int idx) const {
@@ -80,7 +82,16 @@ void Schedule::place(int idx, std::vector<ShardAssignment> shards) {
       }
     }
   }
+  count_shards(idx, -1);
   placements_[static_cast<std::size_t>(idx)].shards = std::move(shards);
+  count_shards(idx, +1);
+  ++stage_version_[static_cast<std::size_t>(item(idx).stage)];
+}
+
+void Schedule::count_shards(int idx, int delta) {
+  for (const auto& sh : placements_[static_cast<std::size_t>(idx)].shards) {
+    if (sh.slot >= 0) slot_shards_[static_cast<std::size_t>(sh.slot)] += delta;
+  }
 }
 
 void Schedule::assign(int idx, int chiplet_id) {
@@ -112,7 +123,9 @@ void Schedule::restore_placement(int idx, std::vector<ShardAssignment> shards) {
 }
 
 void Schedule::clear_assignment(int idx) {
+  count_shards(idx, -1);
   placements_[static_cast<std::size_t>(idx)].shards.clear();
+  ++stage_version_[static_cast<std::size_t>(item(idx).stage)];
 }
 
 const std::vector<int>& Schedule::items_of_model(int stage, int model) const {
@@ -128,15 +141,11 @@ std::vector<int> Schedule::items_of_stage(int stage) const {
 }
 
 std::vector<int> Schedule::chiplets_in_use(bool used) const {
-  std::vector<char> mask(package_->chiplets().size(), 0);
-  for (const auto& p : placements_) {
-    for (const auto& s : p.shards) {
-      if (s.slot >= 0) mask[static_cast<std::size_t>(s.slot)] = 1;
-    }
-  }
   std::vector<int> out;
-  for (std::size_t k = 0; k < mask.size(); ++k) {
-    if ((mask[k] != 0) == used) out.push_back(package_->chiplets()[k].id);
+  for (std::size_t k = 0; k < slot_shards_.size(); ++k) {
+    if ((slot_shards_[k] > 0) == used) {
+      out.push_back(package_->chiplets()[k].id);
+    }
   }
   return out;
 }

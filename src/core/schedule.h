@@ -10,6 +10,7 @@
 // simulator's program compile and fault remapping all read that one number.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,13 @@ class Schedule {
   void restore_placement(int idx, std::vector<ShardAssignment> shards);
   void clear_assignment(int idx);
 
+  // Counts the changes to stage `stage`'s placements: every assign_*,
+  // restore_placement and clear_assignment call on one of its items bumps
+  // it. ScheduleEvaluator compares versions to find what changed.
+  std::uint64_t stage_version(int stage) const {
+    return stage_version_[static_cast<std::size_t>(stage)];
+  }
+
   // Item indices of one stage / one model, in execution order.
   const std::vector<int>& items_of_model(int stage, int model) const;
   std::vector<int> items_of_stage(int stage) const;
@@ -120,6 +128,8 @@ class Schedule {
  private:
   // Stores `shards` as item `idx`'s placement, pricing each one.
   void place(int idx, std::vector<ShardAssignment> shards);
+  // Adds `delta` to slot_shards_ for each of item `idx`'s priced shards.
+  void count_shards(int idx, int delta);
   // Package chiplet ids whose used-by-some-shard state equals `used`.
   std::vector<int> chiplets_in_use(bool used) const;
 
@@ -129,6 +139,10 @@ class Schedule {
   std::vector<Placement> placements_;
   // index_[stage][model] -> item indices
   std::vector<std::vector<std::vector<int>>> index_;
+  std::vector<std::uint64_t> stage_version_;
+  // Stored shards per package slot: a chiplet is in use while its count is
+  // positive.
+  std::vector<int> slot_shards_;
 };
 
 // LayerDesc for one weighted shard of `layer` (`fraction` of its rows).

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "core/partition.h"
 #include "core/residency.h"
@@ -50,6 +51,10 @@ void initial_quadrant_assignment(Schedule& schedule,
                                  const std::vector<std::vector<int>>& pools) {
   const PerceptionPipeline& pipe = schedule.pipeline();
   const PackageConfig& pkg = schedule.package();
+  if (pools.empty()) {
+    throw std::invalid_argument(
+        "initial_quadrant_assignment: no chiplet pools");
+  }
   // Running weight residency per chiplet id, for the capacity-aware probe.
   // With the default unbounded memory every preferred member fits and the
   // placement is bitwise-identical to the legacy round robin.
@@ -80,6 +85,11 @@ void initial_quadrant_assignment(Schedule& schedule,
     const std::vector<int>& pool =
         pools[static_cast<std::size_t>(std::min<std::size_t>(
             static_cast<std::size_t>(st), pools.size() - 1))];
+    if (pool.empty()) {
+      throw std::invalid_argument("initial_quadrant_assignment: stage " +
+                                  std::to_string(st) +
+                                  "'s chiplet pool is empty");
+    }
     if (stage.num_models() > 1) {
       // Parallel-model stage: one chiplet per model, round-robin.
       for (int mod = 0; mod < stage.num_models(); ++mod) {
@@ -151,6 +161,10 @@ MatchResult throughput_matching(const PerceptionPipeline& pipeline,
 MatchResult throughput_matching_with_pools(
     const PerceptionPipeline& pipeline, const PackageConfig& package,
     const std::vector<std::vector<int>>& pools, const MatchOptions& options) {
+  if (pipeline.num_stages() == 0) {
+    throw std::invalid_argument(
+        "throughput_matching: the pipeline has no stages");
+  }
   MatchResult result{Schedule(pipeline, package), {}, {}, 0.0, false};
   Schedule& sched = result.schedule;
 
@@ -185,6 +199,14 @@ MatchResult throughput_matching_with_pools(
     stage_pool[static_cast<std::size_t>(st)].insert(pool.begin(), pool.end());
   }
 
+  // Package position of each chiplet id (the first one, as
+  // PackageConfig::chiplet finds it), so busy lookups index
+  // metrics.chiplets directly.
+  std::unordered_map<int, std::size_t> slot_of_id;
+  for (std::size_t k = 0; k < package.chiplets().size(); ++k) {
+    slot_of_id.emplace(package.chiplets()[k].id, k);
+  }
+
   auto free_list = [&]() { return sched.free_chiplets(); };
   auto frozen = [&](int st) {
     return std::find(options.frozen_stages.begin(), options.frozen_stages.end(),
@@ -211,7 +233,10 @@ MatchResult throughput_matching_with_pools(
     }
   };
 
-  ScheduleMetrics metrics = evaluate_schedule(sched);
+  // Each step re-evaluates only the stages it changed; `metrics` always
+  // reads the evaluator's current result.
+  ScheduleEvaluator evaluator(sched);
+  const ScheduleMetrics& metrics = evaluator.evaluate();
   double latbase = metrics.stages.front().pipe_s;
   result.latbase_s = latbase;
   record("initial quadrant assignment", metrics, latbase);
@@ -270,7 +295,7 @@ MatchResult throughput_matching_with_pools(
           placement_chiplets(sched.placement(worst_item));
       chiplets.push_back(target);
       rebalance(sched, worst_item, chiplets);
-      metrics = evaluate_schedule(sched);
+      evaluator.evaluate();
       refresh_residency();
       latbase = metrics.stages.front().pipe_s;
       record("absorb-surplus " + sched.item(worst_item).desc->name + " x" +
@@ -326,7 +351,7 @@ MatchResult throughput_matching_with_pools(
           }
           base_split_done = true;
           saturated.clear();
-          metrics = evaluate_schedule(sched);
+          evaluator.evaluate();
           refresh_residency();
           latbase = metrics.stages.front().pipe_s;
           record("split FE chains into 2 pipeline sub-stages", metrics, latbase);
@@ -358,10 +383,8 @@ MatchResult throughput_matching_with_pools(
     // shard of this layer; otherwise reallocate a free chiplet.
     const Placement& cur = sched.placement(worst_item);
     auto busy_of = [&](int id) {
-      for (const auto& u : metrics.chiplets) {
-        if (u.chiplet_id == id) return u.busy_s;
-      }
-      return 0.0;
+      const auto it = slot_of_id.find(id);
+      return it == slot_of_id.end() ? 0.0 : metrics.chiplets[it->second].busy_s;
     };
     const double item_weight = layer_weight_bytes(*sched.item(worst_item).desc);
     int target = -1;
@@ -370,10 +393,11 @@ MatchResult throughput_matching_with_pools(
       if (cur.uses_chiplet(id)) continue;
       if (!weight_room(id, item_weight)) continue;
       const double estimated = worst_lat / static_cast<double>(cur.num_shards() + 1);
-      if (busy_of(id) + estimated > latbase * (1.0 + options.tolerance)) continue;
-      if (target < 0 || busy_of(id) < target_busy) {
+      const double busy = busy_of(id);
+      if (busy + estimated > latbase * (1.0 + options.tolerance)) continue;
+      if (target < 0 || busy < target_busy) {
         target = id;
-        target_busy = busy_of(id);
+        target_busy = busy;
       }
     }
     std::string how = "shard";
@@ -394,7 +418,7 @@ MatchResult throughput_matching_with_pools(
     std::vector<int> chiplets = placement_chiplets(cur);
     chiplets.push_back(target);
     rebalance(sched, worst_item, chiplets);
-    metrics = evaluate_schedule(sched);
+    evaluator.evaluate();
     refresh_residency();
     latbase = metrics.stages.front().pipe_s;
     record(how + " " + sched.item(worst_item).desc->name + " x" +
@@ -402,7 +426,7 @@ MatchResult throughput_matching_with_pools(
            metrics, latbase);
   }
 
-  result.metrics = evaluate_schedule(sched);
+  result.metrics = evaluator.evaluate();
   result.latbase_s = result.metrics.stages.front().pipe_s;
   if (result.trace.empty() || !result.converged) {
     result.converged =

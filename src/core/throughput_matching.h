@@ -48,12 +48,15 @@ struct MatchResult {
 };
 
 // Runs Algorithm 1 on `pipeline` over `package` (quadrant-initialized).
+// Throws std::invalid_argument when the pipeline has no stages, and as
+// initial_quadrant_assignment does.
 MatchResult throughput_matching(const PerceptionPipeline& pipeline,
                                 const PackageConfig& package,
                                 const MatchOptions& options = {});
 
 // Same, but with explicit per-stage chiplet pools (pools beyond the stage
-// count form the free reserve).
+// count form the free reserve; stages beyond the pool count share the last
+// pool). Throws like throughput_matching.
 MatchResult throughput_matching_with_pools(
     const PerceptionPipeline& pipeline, const PackageConfig& package,
     const std::vector<std::vector<int>>& pools, const MatchOptions& options);
@@ -61,6 +64,9 @@ MatchResult throughput_matching_with_pools(
 // Initial quadrant assignment only (step 1-2 of the method): parallel-model
 // stages place one model per chiplet; single-model fusion stages place one
 // layer per chiplet (elementwise/pool ops ride with their predecessor).
+// Throws std::invalid_argument when `pools` is empty, when a stage's pool is
+// empty, and when no member of a stage's pool has weight-memory room for
+// the layer or model chain it must take.
 void initial_quadrant_assignment(Schedule& schedule,
                                  const std::vector<std::vector<int>>& pools);
 

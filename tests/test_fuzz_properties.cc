@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
+#include <vector>
 
 #include "analysis/bounds.h"
 #include "analysis/validate.h"
@@ -1162,6 +1165,220 @@ TEST_P(FuzzSeed, BoundSoundness) {
       ASSERT_TRUE(std::isfinite(floor));
       EXPECT_LE(bounds.streams[t].latency_bound_s, floor * (1.0 + kRelEps));
     }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// Bit pattern of a double, so -0.0 vs 0.0 and NaN payloads count as
+// differences.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every ScheduleMetrics field, per stage and per chiplet, bitwise.
+void expect_metrics_bitwise_equal(const ScheduleMetrics& got,
+                                  const ScheduleMetrics& want) {
+  EXPECT_EQ(bits(got.e2e_s), bits(want.e2e_s));
+  EXPECT_EQ(bits(got.pipe_s), bits(want.pipe_s));
+  EXPECT_EQ(bits(got.compute_energy_j), bits(want.compute_energy_j));
+  EXPECT_EQ(bits(got.nop.latency_s), bits(want.nop.latency_s));
+  EXPECT_EQ(bits(got.nop.energy_j), bits(want.nop.energy_j));
+  EXPECT_EQ(bits(got.total_macs), bits(want.total_macs));
+  EXPECT_EQ(bits(got.utilization), bits(want.utilization));
+  ASSERT_EQ(got.stages.size(), want.stages.size());
+  for (std::size_t st = 0; st < want.stages.size(); ++st) {
+    SCOPED_TRACE("stage " + std::to_string(st));
+    const StageMetrics& g = got.stages[st];
+    const StageMetrics& w = want.stages[st];
+    EXPECT_EQ(g.name, w.name);
+    EXPECT_EQ(bits(g.e2e_s), bits(w.e2e_s));
+    EXPECT_EQ(bits(g.pipe_s), bits(w.pipe_s));
+    EXPECT_EQ(bits(g.compute_energy_j), bits(w.compute_energy_j));
+    EXPECT_EQ(bits(g.nop.latency_s), bits(w.nop.latency_s));
+    EXPECT_EQ(bits(g.nop.energy_j), bits(w.nop.energy_j));
+    EXPECT_EQ(g.chiplets_used, w.chiplets_used);
+  }
+  ASSERT_EQ(got.chiplets.size(), want.chiplets.size());
+  for (std::size_t c = 0; c < want.chiplets.size(); ++c) {
+    SCOPED_TRACE("chiplet slot " + std::to_string(c));
+    const ChipletUsage& g = got.chiplets[c];
+    const ChipletUsage& w = want.chiplets[c];
+    EXPECT_EQ(g.chiplet_id, w.chiplet_id);
+    EXPECT_EQ(bits(g.busy_s), bits(w.busy_s));
+    EXPECT_EQ(bits(g.macs), bits(w.macs));
+    EXPECT_EQ(bits(g.energy_j), bits(w.energy_j));
+    ASSERT_EQ(g.stage_busy_s.size(), w.stage_busy_s.size());
+    for (std::size_t st = 0; st < w.stage_busy_s.size(); ++st) {
+      EXPECT_EQ(bits(g.stage_busy_s[st]), bits(w.stage_busy_s[st]))
+          << "stage " << st;
+    }
+  }
+}
+
+// What an evaluation threw: the exception's dynamic type and message, or
+// empty strings when it returned.
+struct Thrown {
+  std::string type;
+  std::string what;
+};
+
+template <typename Fn>
+Thrown thrown_by(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    return {typeid(e).name(), e.what()};
+  }
+  return {};
+}
+
+// A random multi-stage pipeline: stage 0 holds parallel chains; later
+// stages may add a prefix model ahead of theirs, like the trunk stage.
+PerceptionPipeline random_staged_pipeline(Lcg& rng) {
+  PerceptionPipeline pipe;
+  const int stages = static_cast<int>(rng.range(1, 4));
+  for (int st = 0; st < stages; ++st) {
+    Stage stage;
+    stage.name = "S" + std::to_string(st);
+    const bool with_prefix = st > 0 && rng.range(0, 2) == 0;
+    const int models =
+        static_cast<int>(rng.range(1, 3)) + (with_prefix ? 1 : 0);
+    for (int mod = 0; mod < models; ++mod) {
+      Model m;
+      m.name = stage.name + "_M" + std::to_string(mod);
+      const int layers = static_cast<int>(rng.range(1, 4));
+      for (int l = 0; l < layers; ++l) {
+        m.layers.push_back(gemm(m.name + "_g" + std::to_string(l),
+                                rng.range(64, 4096), rng.range(16, 256),
+                                rng.range(16, 256)));
+      }
+      stage.models.push_back(StageModel{m, with_prefix && mod == 0});
+    }
+    pipe.stages.push_back(std::move(stage));
+  }
+  return pipe;
+}
+
+// Random shards over the package's chiplets (repeats allowed).
+std::vector<ShardAssignment> random_shards(Lcg& rng, const PackageConfig& pkg) {
+  std::vector<ShardAssignment> shards;
+  const int n = static_cast<int>(rng.range(1, 3));
+  for (int k = 0; k < n; ++k) {
+    const int slot = static_cast<int>(rng.range(0, pkg.num_chiplets() - 1));
+    shards.push_back(ShardAssignment{
+        pkg.chiplets()[static_cast<std::size_t>(slot)].id,
+        static_cast<double>(rng.range(1, 8)) / 8.0});
+  }
+  return shards;
+}
+
+// One ScheduleEvaluator follows a schedule through random mutations of
+// every kind on every stage (stage 0, prefix and multi-model stages
+// included), evaluated every few steps. Each evaluate() equals a fresh
+// evaluate_schedule bitwise, or throws exactly what it throws (unassigned
+// items, shards on chiplets the package lacks); once the schedule is fixed
+// the same evaluator is exact again.
+TEST_P(FuzzSeed, IncrementalEvaluationMatchesFresh) {
+  Lcg rng(static_cast<std::uint64_t>(GetParam()) * 86243u + 47u);
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const PackageConfig pkg = random_package(rng);
+    const PerceptionPipeline pipe = random_staged_pipeline(rng);
+    int absent = 0;
+    for (const ChipletSpec& c : pkg.chiplets()) {
+      absent = std::max(absent, c.id + 1);
+    }
+
+    Schedule sched(pipe, pkg);
+    ScheduleEvaluator evaluator(sched);
+    const auto check = [&](const std::string& when) {
+      SCOPED_TRACE(when);
+      const Thrown want = thrown_by([&] { (void)evaluate_schedule(sched); });
+      const Thrown got = thrown_by([&] { (void)evaluator.evaluate(); });
+      ASSERT_EQ(got.type, want.type);
+      ASSERT_EQ(got.what, want.what);
+      if (want.type.empty()) {
+        expect_metrics_bitwise_equal(evaluator.metrics(),
+                                     evaluate_schedule(sched));
+      }
+    };
+    const auto random_chiplet = [&] {
+      return pkg.chiplets()[static_cast<std::size_t>(
+                                rng.range(0, pkg.num_chiplets() - 1))]
+          .id;
+    };
+    // Reassigns every unassigned item and every item with a shard on an
+    // absent chiplet.
+    const auto repair = [&] {
+      for (int i = 0; i < sched.num_items(); ++i) {
+        bool bad = !sched.placement(i).assigned();
+        for (const ShardAssignment& sh : sched.placement(i).shards) {
+          bad = bad || sh.slot < 0;
+        }
+        if (bad) sched.assign(i, random_chiplet());
+      }
+    };
+
+    check("unassigned schedule");
+    repair();
+    check("initial placement");
+    for (int step = 0; step < 60; ++step) {
+      const int idx = static_cast<int>(rng.range(0, sched.num_items() - 1));
+      switch (rng.range(0, 5)) {
+        case 0:
+          sched.assign(idx, random_chiplet());
+          break;
+        case 1: {
+          std::vector<int> ids;
+          for (const ShardAssignment& sh : random_shards(rng, pkg)) {
+            ids.push_back(sh.chiplet_id);
+          }
+          sched.assign_sharded(idx, ids);
+          break;
+        }
+        case 2:
+          sched.assign_weighted(idx, random_shards(rng, pkg));
+          break;
+        case 3:
+          sched.restore_placement(idx, random_shards(rng, pkg));
+          break;
+        case 4:
+          if (rng.range(0, 3) == 0) {
+            sched.clear_assignment(idx);
+          } else {
+            sched.restore_placement(idx, {});
+          }
+          break;
+        default:
+          // A shard on a chiplet the package lacks.
+          sched.assign_sharded(idx, {random_chiplet(), absent});
+          break;
+      }
+      if (rng.range(0, 2) == 0) check("step " + std::to_string(step));
+      if (::testing::Test::HasFatalFailure()) return;
+      // Repair now and then so most evaluations succeed.
+      if (rng.range(0, 3) == 0) repair();
+    }
+
+    // The explicit error contract: each failure throws what a fresh
+    // evaluation throws, and the fix makes the evaluator exact again.
+    repair();
+    ASSERT_NO_THROW(evaluate_schedule(sched));
+    check("repaired");
+    const int victim = static_cast<int>(rng.range(0, sched.num_items() - 1));
+    sched.assign(victim, absent);
+    const Thrown absent_chiplet =
+        thrown_by([&] { (void)evaluator.evaluate(); });
+    EXPECT_EQ(absent_chiplet.type, typeid(std::out_of_range).name());
+    EXPECT_EQ(absent_chiplet.what,
+              "no chiplet with id " + std::to_string(absent));
+    sched.assign(victim, random_chiplet());
+    check("absent chiplet fixed");
+    sched.clear_assignment(victim);
+    const Thrown unassigned = thrown_by([&] { (void)evaluator.evaluate(); });
+    EXPECT_EQ(unassigned.type, typeid(std::logic_error).name());
+    EXPECT_EQ(unassigned.what,
+              "unassigned layer: " + sched.item(victim).desc->name);
+    sched.assign(victim, random_chiplet());
+    check("unassigned item fixed");
     if (::testing::Test::HasFailure()) return;
   }
 }

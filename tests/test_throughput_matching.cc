@@ -1,6 +1,9 @@
 #include "core/throughput_matching.h"
 
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -187,6 +190,49 @@ TEST(MatchingExtraStages, PipelinesBeyondFourStagesShareLastPool) {
   // The tenant is tiny; it must not become the bottleneck.
   EXPECT_LT(r.metrics.stages[4].pipe_s, r.latbase_s);
   EXPECT_NEAR(r.latbase_s * 1e3, 82.4, 8.0);
+}
+
+// Runs `body`, which must throw std::invalid_argument whose message
+// contains `cause`.
+template <typename Body>
+void expect_invalid_argument(Body&& body, const std::string& cause) {
+  try {
+    body();
+    ADD_FAILURE() << "no exception; expected one naming \"" << cause << "\"";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(cause), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(MatchingTest, RejectsEmptyPoolList) {
+  expect_invalid_argument(
+      [&] { throughput_matching_with_pools(pipe_, pkg_, {}, {}); },
+      "no chiplet pools");
+}
+
+TEST_F(MatchingTest, RejectsEmptyPoolOfSingleModelStage) {
+  ASSERT_EQ(pipe_.stages[1].num_models(), 1);
+  std::vector<std::vector<int>> pools = partition_quadrants(pkg_);
+  pools[1].clear();
+  expect_invalid_argument(
+      [&] { throughput_matching_with_pools(pipe_, pkg_, pools, {}); },
+      "stage 1's chiplet pool is empty");
+}
+
+TEST_F(MatchingTest, RejectsEmptyPoolOfMultiModelStage) {
+  ASSERT_GT(pipe_.stages[0].num_models(), 1);
+  std::vector<std::vector<int>> pools = partition_quadrants(pkg_);
+  pools[0].clear();
+  expect_invalid_argument(
+      [&] { throughput_matching_with_pools(pipe_, pkg_, pools, {}); },
+      "stage 0's chiplet pool is empty");
+}
+
+TEST_F(MatchingTest, RejectsPipelineWithoutStages) {
+  const PerceptionPipeline empty;
+  expect_invalid_argument([&] { throughput_matching(empty, pkg_); },
+                          "no stages");
 }
 
 TEST(PartitionQuadrants, SimbaSplitsIntoFourNines) {
