@@ -106,17 +106,18 @@ double item_latency_s(const Schedule& s, int item_idx);
 // reference: the schedule must outlive it and change only through its
 // assign*/restore_placement/clear_assignment calls (assigning another
 // Schedule object over it is not tracked). evaluate() throws what
-// evaluate_schedule throws; after a throw, metrics() is unspecified until
-// an evaluate() succeeds, which it does once the schedule is fixed.
+// evaluate_schedule throws, and succeeds again once the schedule is fixed.
 class ScheduleEvaluator {
  public:
   explicit ScheduleEvaluator(const Schedule& s);
+  // A temporary schedule would die before the evaluator reads it.
+  explicit ScheduleEvaluator(const Schedule&&) = delete;
 
-  // Brings the metrics up to date with the schedule and returns them.
+  // Brings the metrics up to date with the schedule and returns them; the
+  // reference stays valid, and tracks later calls, for the evaluator's life.
   const ScheduleMetrics& evaluate() &;
   // One-shot form, ScheduleEvaluator(s).evaluate(): moves the metrics out.
   ScheduleMetrics evaluate() &&;
-  const ScheduleMetrics& metrics() const { return m_; }
 
  private:
   // Pass 1 over stage `st`'s items, adding to the running sums.

@@ -85,10 +85,10 @@ void initial_quadrant_assignment(Schedule& schedule,
     const std::vector<int>& pool =
         pools[static_cast<std::size_t>(std::min<std::size_t>(
             static_cast<std::size_t>(st), pools.size() - 1))];
-    if (pool.empty()) {
-      throw std::invalid_argument("initial_quadrant_assignment: stage " +
-                                  std::to_string(st) +
-                                  "'s chiplet pool is empty");
+    if (pool.empty() || stage.num_models() == 0) {
+      throw std::invalid_argument(
+          "initial_quadrant_assignment: stage " + std::to_string(st) +
+          (pool.empty() ? "'s chiplet pool is empty" : " has no models"));
     }
     if (stage.num_models() > 1) {
       // Parallel-model stage: one chiplet per model, round-robin.

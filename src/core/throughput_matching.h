@@ -65,8 +65,8 @@ MatchResult throughput_matching_with_pools(
 // stages place one model per chiplet; single-model fusion stages place one
 // layer per chiplet (elementwise/pool ops ride with their predecessor).
 // Throws std::invalid_argument when `pools` is empty, when a stage's pool is
-// empty, and when no member of a stage's pool has weight-memory room for
-// the layer or model chain it must take.
+// empty or the stage has no models, and when no member of a stage's pool
+// has weight-memory room for the layer or model chain it must take.
 void initial_quadrant_assignment(Schedule& schedule,
                                  const std::vector<std::vector<int>>& pools);
 

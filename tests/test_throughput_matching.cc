@@ -229,6 +229,12 @@ TEST_F(MatchingTest, RejectsEmptyPoolOfMultiModelStage) {
       "stage 0's chiplet pool is empty");
 }
 
+TEST_F(MatchingTest, RejectsStageWithoutModels) {
+  pipe_.stages.push_back(Stage{"EMPTY", {}});
+  expect_invalid_argument([&] { throughput_matching(pipe_, pkg_); },
+                          "stage 4 has no models");
+}
+
 TEST_F(MatchingTest, RejectsPipelineWithoutStages) {
   const PerceptionPipeline empty;
   expect_invalid_argument([&] { throughput_matching(empty, pkg_); },
