@@ -46,9 +46,7 @@ std::string item_locus(const StreamView& v, int idx) {
 // True when `chiplet_id` resolves on `pkg`; classifies the miss.
 enum class ChipletRef { kPresent, kDead, kDangling };
 ChipletRef classify_chiplet(const PackageConfig& pkg, int chiplet_id) {
-  for (const ChipletSpec& c : pkg.chiplets()) {
-    if (c.id == chiplet_id) return ChipletRef::kPresent;
-  }
+  if (pkg.slot_of(chiplet_id) >= 0) return ChipletRef::kPresent;
   for (const FailedSite& f : pkg.failed_sites()) {
     if (f.chiplet_id == chiplet_id) return ChipletRef::kDead;
   }

@@ -12,7 +12,18 @@
 namespace cnpu {
 
 PackageConfig::PackageConfig(std::vector<ChipletSpec> chiplets, NopParams nop)
-    : chiplets_(std::move(chiplets)), nop_(nop) {}
+    : chiplets_(std::move(chiplets)), nop_(nop) {
+  const int limit = 2 * num_chiplets() + 64;
+  for (int k = 0; k < num_chiplets(); ++k) {
+    const int id = chiplets_[static_cast<std::size_t>(k)].id;
+    if (id < 0 || id >= limit) continue;
+    if (id >= static_cast<int>(slot_by_id_.size())) {
+      slot_by_id_.resize(static_cast<std::size_t>(id) + 1, -1);
+    }
+    int& slot = slot_by_id_[static_cast<std::size_t>(id)];
+    if (slot < 0) slot = k;
+  }
+}
 
 std::int64_t PackageConfig::total_pes() const {
   std::int64_t total = 0;
@@ -20,11 +31,26 @@ std::int64_t PackageConfig::total_pes() const {
   return total;
 }
 
-const ChipletSpec& PackageConfig::chiplet(int id) const {
-  for (const auto& c : chiplets_) {
-    if (c.id == id) return c;
+int PackageConfig::slot_of(int id) const {
+  if (id >= 0 && id < static_cast<int>(slot_by_id_.size())) {
+    return slot_by_id_[static_cast<std::size_t>(id)];
   }
-  throw std::out_of_range("no chiplet with id " + std::to_string(id));
+  for (int k = 0; k < num_chiplets(); ++k) {
+    if (chiplets_[static_cast<std::size_t>(k)].id == id) return k;
+  }
+  return -1;
+}
+
+std::size_t PackageConfig::checked_slot(int id) const {
+  const int slot = slot_of(id);
+  if (slot < 0) {
+    throw std::out_of_range("no chiplet with id " + std::to_string(id));
+  }
+  return static_cast<std::size_t>(slot);
+}
+
+const ChipletSpec& PackageConfig::chiplet(int id) const {
+  return chiplets_[checked_slot(id)];
 }
 
 std::optional<int> PackageConfig::find_chiplet_at(const GridCoord& coord,
@@ -208,22 +234,6 @@ int PackageConfig::hops_from_io(int chiplet_id) const {
 
 namespace {
 
-// Appends `path` (the coordinate walk produced by mesh_path) as directed
-// mesh links of `npu`'s mesh, starting from `from`.
-void append_mesh_links(std::vector<NopLink>& route, int npu, GridCoord from,
-                       const std::vector<GridCoord>& path) {
-  for (const GridCoord& next : path) {
-    NopLink link;
-    link.kind = NopLink::Kind::kMesh;
-    link.npu = npu;
-    link.npu_to = npu;
-    link.from = from;
-    link.to = next;
-    route.push_back(link);
-    from = next;
-  }
-}
-
 // The substrate is a chain of adjacent-NPU channels: crossing from
 // `npu_from` to `npu_to` traverses `hops_per_boundary` links per boundary,
 // each keyed by its directed adjacent pair — so ingress and peer traffic
@@ -245,34 +255,62 @@ void append_substrate(std::vector<NopLink>& route, int npu_from, int npu_to,
 
 }  // namespace
 
+void PackageConfig::append_mesh_route(std::vector<NopLink>& route, int npu,
+                                      GridCoord from,
+                                      const GridCoord& to) const {
+  const auto hop = [&](const GridCoord& next) {
+    NopLink link;
+    link.npu = npu;
+    link.npu_to = npu;
+    link.from = from;
+    link.to = next;
+    route.push_back(link);
+    from = next;
+  };
+  if (failed_.empty()) {
+    xy_walk(from, to, hop);
+    return;
+  }
+  for (const GridCoord& next : mesh_path(npu, from, to)) hop(next);
+}
+
 std::vector<NopLink> PackageConfig::route_between(int chiplet_a,
                                                   int chiplet_b) const {
   std::vector<NopLink> route;
-  if (chiplet_a == chiplet_b) return route;
+  route_between(chiplet_a, chiplet_b, route);
+  return route;
+}
+
+void PackageConfig::route_between(int chiplet_a, int chiplet_b,
+                                  std::vector<NopLink>& route) const {
+  if (chiplet_a == chiplet_b) return;
   const ChipletSpec& a = chiplet(chiplet_a);
   const ChipletSpec& b = chiplet(chiplet_b);
   if (a.npu == b.npu) {
-    append_mesh_links(route, a.npu, a.coord,
-                      mesh_path(a.npu, a.coord, b.coord));
-    return route;
+    append_mesh_route(route, a.npu, a.coord, b.coord);
+    return;
   }
   // Cross-NPU: source mesh then substrate normally; substrate first then
   // destination mesh when cross_npu_walk_npu picked the fallback.
   const int walk = cross_npu_walk_npu(a.npu, b.npu, a.coord, b.coord);
-  const std::vector<GridCoord> path = mesh_path(walk, a.coord, b.coord);
   if (walk == a.npu) {
-    append_mesh_links(route, walk, a.coord, path);
+    append_mesh_route(route, walk, a.coord, b.coord);
     append_substrate(route, a.npu, b.npu, inter_npu_hops_);
   } else {
     append_substrate(route, a.npu, b.npu, inter_npu_hops_);
-    append_mesh_links(route, walk, a.coord, path);
+    append_mesh_route(route, walk, a.coord, b.coord);
   }
-  return route;
 }
 
 std::vector<NopLink> PackageConfig::route_from_io(int chiplet_id) const {
-  const ChipletSpec& c = chiplet(chiplet_id);
   std::vector<NopLink> route;
+  route_from_io(chiplet_id, route);
+  return route;
+}
+
+void PackageConfig::route_from_io(int chiplet_id,
+                                  std::vector<NopLink>& route) const {
+  const ChipletSpec& c = chiplet(chiplet_id);
   // The physical sensor/DRAM port sits on NPU 0's west edge: every ingress
   // walks NPU 0's mesh first (so all camera traffic shares the one port
   // link), then crosses the substrate into the chiplet's NPU. Lengths
@@ -282,18 +320,16 @@ std::vector<NopLink> PackageConfig::route_from_io(int chiplet_id) const {
   const GridCoord io = io_coord();
   const GridCoord entry =
       failed_.empty() ? GridCoord{io.row, 0} : io_entry_or_throw();
-  append_mesh_links(route, 0, io, {entry});
   const int walk =
       c.npu == 0 ? 0 : cross_npu_walk_npu(0, c.npu, entry, c.coord);
-  const std::vector<GridCoord> path = mesh_path(walk, entry, c.coord);
+  append_mesh_route(route, 0, io, entry);
   if (walk == 0) {
-    append_mesh_links(route, 0, entry, path);
+    append_mesh_route(route, 0, entry, c.coord);
     append_substrate(route, 0, c.npu, inter_npu_hops_);
   } else {
     append_substrate(route, 0, c.npu, inter_npu_hops_);
-    append_mesh_links(route, walk, entry, path);
+    append_mesh_route(route, walk, entry, c.coord);
   }
-  return route;
 }
 
 std::string NopLink::describe() const {
@@ -325,13 +361,8 @@ NopCost PackageConfig::transfer_cost(int from_chiplet, int to_chiplet,
 }
 
 void PackageConfig::set_chiplet_dataflow(int id, DataflowKind kind) {
-  for (auto& c : chiplets_) {
-    if (c.id == id) {
-      c.array = make_pe_array(kind, c.array.num_pes);
-      return;
-    }
-  }
-  throw std::out_of_range("no chiplet with id " + std::to_string(id));
+  ChipletSpec& c = chiplets_[checked_slot(id)];
+  c.array = make_pe_array(kind, c.array.num_pes);
 }
 
 void PackageConfig::set_memory(const MemorySpec& memory) {
@@ -339,13 +370,7 @@ void PackageConfig::set_memory(const MemorySpec& memory) {
 }
 
 void PackageConfig::set_chiplet_memory(int id, const MemorySpec& memory) {
-  for (auto& c : chiplets_) {
-    if (c.id == id) {
-      c.memory = memory;
-      return;
-    }
-  }
-  throw std::out_of_range("no chiplet with id " + std::to_string(id));
+  chiplets_[checked_slot(id)].memory = memory;
 }
 
 bool PackageConfig::memory_model_active() const {

@@ -63,7 +63,11 @@ class PackageConfig {
   int num_chiplets() const { return static_cast<int>(chiplets_.size()); }
   std::int64_t total_pes() const;
 
+  // Throws std::out_of_range when no chiplet has that id.
   const ChipletSpec& chiplet(int id) const;
+  // Position of chiplet `id` in chiplets(), or -1 when no chiplet has that
+  // id (never had it, or lost it to without_chiplet). O(1).
+  int slot_of(int id) const;
   // nullopt when no chiplet has that id.
   std::optional<int> find_chiplet_at(const GridCoord& coord, int npu = 0) const;
 
@@ -94,12 +98,18 @@ class PackageConfig {
   // column-first neighbor order for determinism) is taken instead; throws
   // std::runtime_error when no detour exists.
   std::vector<NopLink> route_between(int chiplet_a, int chiplet_b) const;
+  // The same route appended to `route` (allocation-free on a healthy
+  // package once `route` has capacity). A throw may leave a partial route
+  // appended.
+  void route_between(int chiplet_a, int chiplet_b,
+                     std::vector<NopLink>& route) const;
   // Route of a sensor/DRAM ingress transfer: the XY path from the single
   // physical west-edge I/O port across NPU 0's mesh (its first link is the
   // shared ingress bottleneck every camera frame crosses, whatever the
   // destination NPU), then substrate crossings into the chiplet's NPU.
   // Length equals hops_from_io(chiplet_id).
   std::vector<NopLink> route_from_io(int chiplet_id) const;
+  void route_from_io(int chiplet_id, std::vector<NopLink>& route) const;
 
   // Cost of moving `bytes` between two chiplets (or from IO when
   // `from_chiplet` is negative).
@@ -149,6 +159,8 @@ class PackageConfig {
   // sites still count toward the geometry — a dead die does not move the
   // physical port.
   GridCoord io_coord() const;
+  // slot_of, throwing std::out_of_range for an absent id.
+  std::size_t checked_slot(int id) const;
 
   bool site_failed(const GridCoord& coord, int npu) const;
   // The npu-0 router the I/O port is bonded to; throws std::runtime_error
@@ -170,6 +182,11 @@ class PackageConfig {
   // otherwise; throws std::runtime_error when disconnected.
   std::vector<GridCoord> mesh_path(int npu, const GridCoord& from,
                                    const GridCoord& to) const;
+  // Appends the mesh links of mesh_path(npu, from, to) to `route`; walks
+  // the XY path in place, without a coordinate vector, on a healthy
+  // package.
+  void append_mesh_route(std::vector<NopLink>& route, int npu,
+                         GridCoord from, const GridCoord& to) const;
   // Length of mesh_path without materializing it: allocation-free on the
   // (common) unblocked walk, so degraded-package hop queries stay cheap in
   // DSE/evaluator hot loops; BFS only when the XY walk is blocked.
@@ -177,6 +194,11 @@ class PackageConfig {
                         const GridCoord& to) const;
 
   std::vector<ChipletSpec> chiplets_;
+  // slot_by_id_[id] is slot_of(id) for every id in [0, size): the first
+  // chiplet carrying it, or -1. Ids are dense from make_* but not after
+  // without_chiplet; ids outside the table (negative, or far past the
+  // chiplet count, as a hand-written bundle may carry) fall back to a scan.
+  std::vector<int> slot_by_id_;
   std::vector<FailedSite> failed_;
   NopParams nop_;
   int inter_npu_hops_ = 4;

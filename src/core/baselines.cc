@@ -109,9 +109,7 @@ Schedule build_pool_schedule(const PerceptionPipeline& pipeline,
     throw std::invalid_argument("build_pool_schedule: empty chiplet pool");
   }
   for (const int id : pool) {
-    bool found = false;
-    for (const auto& c : package.chiplets()) found = found || c.id == id;
-    if (!found) {
+    if (package.slot_of(id) < 0) {
       throw std::invalid_argument("build_pool_schedule: chiplet " +
                                   std::to_string(id) +
                                   " is not in the package");

@@ -72,14 +72,11 @@ void Schedule::place(int idx, std::vector<ShardAssignment> shards) {
   const LayerDesc& desc = *items_[static_cast<std::size_t>(idx)].desc;
   const std::vector<ChipletSpec>& specs = package_->chiplets();
   for (auto& sh : shards) {
-    sh.slot = -1;
+    sh.slot = package_->slot_of(sh.chiplet_id);
     sh.cost = ShardCost{};
-    for (std::size_t k = 0; k < specs.size(); ++k) {
-      if (specs[k].id == sh.chiplet_id) {
-        sh.slot = static_cast<int>(k);
-        sh.cost = price_shard(desc, sh.fraction, specs[k].array);
-        break;
-      }
+    if (sh.slot >= 0) {
+      sh.cost = price_shard(desc, sh.fraction,
+                            specs[static_cast<std::size_t>(sh.slot)].array);
     }
   }
   count_shards(idx, -1);

@@ -5,7 +5,6 @@
 #include <map>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/partition.h"
 #include "core/residency.h"
@@ -199,14 +198,6 @@ MatchResult throughput_matching_with_pools(
     stage_pool[static_cast<std::size_t>(st)].insert(pool.begin(), pool.end());
   }
 
-  // Package position of each chiplet id (the first one, as
-  // PackageConfig::chiplet finds it), so busy lookups index
-  // metrics.chiplets directly.
-  std::unordered_map<int, std::size_t> slot_of_id;
-  for (std::size_t k = 0; k < package.chiplets().size(); ++k) {
-    slot_of_id.emplace(package.chiplets()[k].id, k);
-  }
-
   auto free_list = [&]() { return sched.free_chiplets(); };
   auto frozen = [&](int st) {
     return std::find(options.frozen_stages.begin(), options.frozen_stages.end(),
@@ -383,8 +374,9 @@ MatchResult throughput_matching_with_pools(
     // shard of this layer; otherwise reallocate a free chiplet.
     const Placement& cur = sched.placement(worst_item);
     auto busy_of = [&](int id) {
-      const auto it = slot_of_id.find(id);
-      return it == slot_of_id.end() ? 0.0 : metrics.chiplets[it->second].busy_s;
+      const int slot = package.slot_of(id);
+      return slot < 0 ? 0.0
+                      : metrics.chiplets[static_cast<std::size_t>(slot)].busy_s;
     };
     const double item_weight = layer_weight_bytes(*sched.item(worst_item).desc);
     int target = -1;
