@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -64,61 +64,157 @@ bool structurally_clean(const Schedule& s) {
   return s.num_items() > 0;
 }
 
-// Everything one stream contributes, accumulated locally so a stream that
-// turns out unpriceable (a NoP edge the degraded package cannot route)
-// is dropped whole instead of half-merged.
-struct StreamContribution {
-  StreamBound bound;
-  std::map<NopLink, double> link_bytes;       // per-frame bytes per link
-  std::map<int, double> chiplet_busy;         // chiplet id -> busy s/frame
+// Dense ids for the links one compute_bounds call touches, in first-seen
+// order, found through an open-addressed hash of the link's fields.
+class LinkIds {
+ public:
+  int id_of(const NopLink& link) {
+    if (2 * links_.size() + 2 > table_.size()) {
+      table_.assign(std::max<std::size_t>(64, 2 * table_.size()), -1);
+      for (std::size_t id = 0; id < links_.size(); ++id) {
+        table_[free_bucket(links_[id])] = static_cast<int>(id);
+      }
+    }
+    const std::size_t b = free_bucket(link);
+    if (table_[b] < 0) {
+      table_[b] = static_cast<int>(links_.size());
+      links_.push_back(link);
+    }
+    return table_[b];
+  }
+  const NopLink& link(int id) const {
+    return links_[static_cast<std::size_t>(id)];
+  }
+  int size() const { return static_cast<int>(links_.size()); }
+
+ private:
+  // The bucket holding `link`, or the empty bucket its probe ends at.
+  std::size_t free_bucket(const NopLink& link) const {
+    std::uint64_t h = static_cast<std::uint64_t>(link.kind);
+    for (const int v : {link.npu, link.npu_to, link.from.row, link.from.col,
+                        link.to.row, link.to.col, link.substrate_step}) {
+      h = (h ^ static_cast<std::uint32_t>(v)) * 0x9E3779B97F4A7C15ull;
+    }
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t b = (h >> 32) & mask;; b = (b + 1) & mask) {
+      const int id = table_[b];
+      if (id < 0 || links_[static_cast<std::size_t>(id)] == link) return b;
+    }
+  }
+
+  std::vector<NopLink> links_;
+  std::vector<int> table_;
 };
 
-StreamContribution price_stream(const StreamRef& v, const PackageConfig& pkg,
-                                bool nop) {
+// Buffers of one compute_bounds call. Per-stream demand accumulates in the
+// link- and slot-indexed `link_bytes` / `slot_busy` and is merged into the
+// totals only once the stream has priced, so a stream that turns out
+// unpriceable (a NoP edge the degraded package cannot route) is dropped
+// whole instead of half-merged.
+struct BoundsScratch {
+  LinkIds ids;
+  std::vector<NopLink> route;
+  int stream = 0;                  // streams priced or dropped so far
+  std::vector<double> link_bytes;  // this stream's bytes/frame per link id
+  std::vector<int> link_stream;    // per link id: last stream touching it
+  std::vector<int> stream_links;   // link ids this stream touched
+  std::vector<double> slot_busy;   // this stream's busy s/frame per slot
+  // Edges in enumeration order, then as CSR predecessors per consumer.
+  std::vector<int> edge_src;
+  std::vector<int> edge_dst;
+  std::vector<double> edge_delay;
+  std::vector<int> pred_begin;
+  std::vector<int> pred_src;
+  std::vector<double> pred_delay;
+  std::vector<double> lat;
+  std::vector<double> ingress_delay;
+  std::vector<double> complete;
+  std::vector<char> expanding;
+  std::vector<int> stack;
+
+  // Links in NopLink order.
+  void sort_links(std::vector<int>& links) const {
+    std::sort(links.begin(), links.end(), [this](int a, int b) {
+      return ids.link(a) < ids.link(b);
+    });
+  }
+  // Forgets the current stream's per-link and per-slot demand.
+  void next_stream() {
+    for (const int id : stream_links) {
+      link_bytes[static_cast<std::size_t>(id)] = 0.0;
+    }
+    stream_links.clear();
+    std::fill(slot_busy.begin(), slot_busy.end(), 0.0);
+    ++stream;
+  }
+};
+
+StreamBound price_stream(const StreamRef& v, const PackageConfig& pkg,
+                         bool nop, BoundsScratch& b) {
   const Schedule& s = *v.sched;
-  const int n = s.num_items();
-  StreamContribution out;
-  out.bound.name = v.name;
-  out.bound.locus = v.locus;
-  out.bound.deadline_s = v.deadline_s;
-  out.bound.rate_known =
-      mean_arrival_rate_fps(*v.arrivals, v.frame_interval_s,
-                            out.bound.rate_fps);
+  const auto n = static_cast<std::size_t>(s.num_items());
+  StreamBound out;
+  out.name = v.name;
+  out.locus = v.locus;
+  out.deadline_s = v.deadline_s;
+  out.rate_known =
+      mean_arrival_rate_fps(*v.arrivals, v.frame_interval_s, out.rate_fps);
 
   // Per-item compute roofline (max over shards — exactly the simulator's
   // per-shard task cost) and per-chiplet busy accumulation.
-  std::vector<double> lat(static_cast<std::size_t>(n), 0.0);
-  for (int i = 0; i < n; ++i) {
-    double item_lat = 0.0;
-    for (const ShardAssignment& sh : s.priced(i).shards) {
-      item_lat = std::max(item_lat, sh.cost.latency_s);
-      out.chiplet_busy[sh.chiplet_id] += sh.cost.latency_s;
+  b.lat.assign(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const ShardAssignment& sh : s.priced(static_cast<int>(i)).shards) {
+      b.lat[i] = std::max(b.lat[i], sh.cost.latency_s);
+      b.slot_busy[static_cast<std::size_t>(sh.slot)] += sh.cost.latency_s;
     }
-    lat[static_cast<std::size_t>(i)] = item_lat;
   }
 
   // One enumeration pass builds both the dependency DAG (analytical edge
-  // delays, matching build_program's e.delay_s) and the per-link byte
+  // delays, matching build_program's delays) and the per-link byte
   // injection (matching the contended simulator's one-message-per-shard
   // fraction-scaled routing). Unroutable edges on a degraded package are
   // skipped — R001/R002 report them; skipping only lowers the bound.
-  std::vector<std::vector<std::pair<int, double>>> preds(
-      static_cast<std::size_t>(n));
-  std::vector<double> ingress_delay(static_cast<std::size_t>(n), 0.0);
-  auto add_route = [&](const std::vector<NopLink>& route, double bytes) {
-    for (const NopLink& l : route) out.link_bytes[l] += bytes;
+  b.ingress_delay.assign(n, 0.0);
+  b.edge_src.clear();
+  b.edge_dst.clear();
+  b.edge_delay.clear();
+  b.edge_src.reserve(n);
+  b.edge_dst.reserve(n);
+  b.edge_delay.reserve(n);
+  const auto add_route = [&](int from, int to, double bytes) {
+    b.route.clear();
+    try {
+      if (from < 0) {
+        pkg.route_from_io(to, b.route);
+      } else {
+        pkg.route_between(from, to, b.route);
+      }
+    } catch (const std::runtime_error&) {
+      return;
+    }
+    for (const NopLink& l : b.route) {
+      const int id = b.ids.id_of(l);
+      const auto k = static_cast<std::size_t>(id);
+      if (k >= b.link_bytes.size()) {
+        b.link_bytes.resize(k + 1, 0.0);
+        b.link_stream.resize(k + 1, -1);
+      }
+      if (b.link_stream[k] != b.stream) {
+        b.link_stream[k] = b.stream;
+        b.stream_links.push_back(id);
+      }
+      b.link_bytes[k] += bytes;
+    }
   };
   for_each_schedule_edge(
       s,
       [&](int item) {
-        const int dst = s.placement(item).primary_chiplet();
         if (!nop) return;
-        ingress_delay[static_cast<std::size_t>(item)] =
+        const int dst = s.placement(item).primary_chiplet();
+        b.ingress_delay[static_cast<std::size_t>(item)] =
             nop_ingress_cost(pkg, dst).latency_s;
-        try {
-          add_route(pkg.route_from_io(dst), kCameraInputBytes);
-        } catch (const std::runtime_error&) {
-        }
+        add_route(-1, dst, kCameraInputBytes);
       },
       [&](int producer, int consumer, double bytes) {
         double delay = 0.0;
@@ -128,17 +224,26 @@ StreamContribution price_stream(const StreamRef& v, const PackageConfig& pkg,
                       .latency_s;
           const int dst = s.placement(consumer).primary_chiplet();
           for (const ShardAssignment& sh : s.placement(producer).shards) {
-            try {
-              const std::vector<NopLink> route =
-                  pkg.route_between(sh.chiplet_id, dst);
-              if (!route.empty()) add_route(route, sh.fraction * bytes);
-            } catch (const std::runtime_error&) {
-            }
+            add_route(sh.chiplet_id, dst, sh.fraction * bytes);
           }
         }
-        preds[static_cast<std::size_t>(consumer)].emplace_back(producer,
-                                                               delay);
+        b.edge_src.push_back(producer);
+        b.edge_dst.push_back(consumer);
+        b.edge_delay.push_back(delay);
       });
+  // Predecessors per consumer as CSR, each list in enumeration order.
+  b.pred_begin.assign(n + 1, 0);
+  for (const int c : b.edge_dst) ++b.pred_begin[static_cast<std::size_t>(c) + 1];
+  for (std::size_t i = 0; i < n; ++i) b.pred_begin[i + 1] += b.pred_begin[i];
+  b.pred_src.resize(b.edge_src.size());
+  b.pred_delay.resize(b.edge_src.size());
+  b.stack.assign(b.pred_begin.begin(), b.pred_begin.end() - 1);
+  for (std::size_t e = 0; e < b.edge_src.size(); ++e) {
+    const auto slot = static_cast<std::size_t>(
+        b.stack[static_cast<std::size_t>(b.edge_dst[e])]++);
+    b.pred_src[slot] = b.edge_src[e];
+    b.pred_delay[slot] = b.edge_delay[e];
+  }
 
   // Longest path over the DAG: complete(i) = ready(i) + lat(i), ready(i) =
   // max(ingress delay, max over deps of complete(p) + edge delay).
@@ -147,52 +252,51 @@ StreamContribution price_stream(const StreamRef& v, const PackageConfig& pkg,
   // schedule DAG is acyclic by construction; a pred found mid-expansion
   // (which only a malformed input could produce) is ignored — ignoring a
   // dependency can only lower the bound, keeping it sound.
-  std::vector<double> complete(static_cast<std::size_t>(n), -1.0);
-  std::vector<char> expanding(static_cast<std::size_t>(n), 0);
-  std::vector<int> stack;
-  for (int root = 0; root < n; ++root) {
-    if (complete[static_cast<std::size_t>(root)] >= 0.0) continue;
-    stack.push_back(root);
-    while (!stack.empty()) {
-      const int t = stack.back();
-      const auto ti = static_cast<std::size_t>(t);
-      if (complete[ti] >= 0.0) {
-        stack.pop_back();
+  b.complete.assign(n, -1.0);
+  b.expanding.assign(n, 0);
+  b.stack.clear();
+  for (std::size_t root = 0; root < n; ++root) {
+    if (b.complete[root] >= 0.0) continue;
+    b.stack.push_back(static_cast<int>(root));
+    while (!b.stack.empty()) {
+      const auto ti = static_cast<std::size_t>(b.stack.back());
+      if (b.complete[ti] >= 0.0) {
+        b.stack.pop_back();
         continue;
       }
-      expanding[ti] = 1;
+      b.expanding[ti] = 1;
+      const auto first = static_cast<std::size_t>(b.pred_begin[ti]);
+      const auto last = static_cast<std::size_t>(b.pred_begin[ti + 1]);
       bool deps_ready = true;
-      for (const auto& [p, delay] : preds[ti]) {
-        const auto pi = static_cast<std::size_t>(p);
-        if (complete[pi] < 0.0 && expanding[pi] == 0) {
-          stack.push_back(p);
+      for (std::size_t k = first; k < last; ++k) {
+        const auto pi = static_cast<std::size_t>(b.pred_src[k]);
+        if (b.complete[pi] < 0.0 && b.expanding[pi] == 0) {
+          b.stack.push_back(b.pred_src[k]);
           deps_ready = false;
         }
       }
       if (!deps_ready) continue;
-      double ready = ingress_delay[ti];
-      for (const auto& [p, delay] : preds[ti]) {
-        const auto pi = static_cast<std::size_t>(p);
-        if (complete[pi] < 0.0) continue;  // malformed-input cycle guard
-        ready = std::max(ready, complete[pi] + delay);
+      double ready = b.ingress_delay[ti];
+      for (std::size_t k = first; k < last; ++k) {
+        const auto pi = static_cast<std::size_t>(b.pred_src[k]);
+        if (b.complete[pi] < 0.0) continue;  // malformed-input cycle guard
+        ready = std::max(ready, b.complete[pi] + b.pred_delay[k]);
       }
-      complete[ti] = ready + lat[ti];
-      expanding[ti] = 0;
-      stack.pop_back();
+      b.complete[ti] = ready + b.lat[ti];
+      b.expanding[ti] = 0;
+      b.stack.pop_back();
     }
   }
-  for (int i = 0; i < n; ++i) {
-    out.bound.latency_bound_s =
-        std::max(out.bound.latency_bound_s,
-                 complete[static_cast<std::size_t>(i)]);
+  for (const double c : b.complete) {
+    out.latency_bound_s = std::max(out.latency_bound_s, c);
   }
 
-  for (const auto& [link, bytes] : out.link_bytes) {
-    (void)link;
-    out.bound.bytes_per_frame += bytes;
+  b.sort_links(b.stream_links);
+  for (const int id : b.stream_links) {
+    out.bytes_per_frame += b.link_bytes[static_cast<std::size_t>(id)];
   }
-  out.bound.deadline_infeasible =
-      v.deadline_s > 0.0 && out.bound.latency_bound_s > v.deadline_s;
+  out.deadline_infeasible =
+      v.deadline_s > 0.0 && out.latency_bound_s > v.deadline_s;
   return out;
 }
 
@@ -264,41 +368,58 @@ BoundsReport compute_bounds(const Schedule& schedule,
 
   const bool nop = options.model_nop_delays;
   const bool link_binding = nop && options.nop_mode == NopMode::kContended;
-  std::map<NopLink, LinkBound> links;
-  std::map<int, ChipletBound> chiplets;
+  const std::size_t slots = pkg.chiplets().size();
+  BoundsScratch b;
+  b.slot_busy.assign(slots, 0.0);
+  // Totals over the priced streams, per link id and per package slot.
+  std::vector<double> link_bytes;
+  std::vector<double> link_demand;
+  std::vector<int> links;  // link ids some priced stream touched
+  std::vector<double> busy(slots, 0.0);
+  std::vector<double> demand(slots, 0.0);
   std::vector<const Schedule*> priced_scheds;
   for (const StreamRef& v : streams) {
     if (!structurally_clean(*v.sched)) continue;
-    StreamContribution c;
+    StreamBound bound;
     try {
-      c = price_stream(v, pkg, nop);
+      bound = price_stream(v, pkg, nop, b);
     } catch (const std::exception&) {
+      b.next_stream();
       continue;  // unpriceable (unroutable NoP edge): skip the stream
     }
     priced_scheds.push_back(v.sched);
-    for (const auto& [link, bytes] : c.link_bytes) {
-      LinkBound& lb = links[link];
-      lb.link = link;
-      lb.bytes_per_frame += bytes;
-      if (c.bound.rate_known) {
-        lb.demand_bytes_per_s += c.bound.rate_fps * bytes;
+    link_bytes.resize(b.link_bytes.size(), -1.0);
+    link_demand.resize(b.link_bytes.size(), 0.0);
+    for (const int id : b.stream_links) {
+      const auto k = static_cast<std::size_t>(id);
+      if (link_bytes[k] < 0.0) {
+        link_bytes[k] = 0.0;
+        links.push_back(id);
+      }
+      link_bytes[k] += b.link_bytes[k];
+      if (bound.rate_known) link_demand[k] += bound.rate_fps * b.link_bytes[k];
+    }
+    for (std::size_t k = 0; k < slots; ++k) {
+      busy[k] += b.slot_busy[k];
+      if (bound.rate_known && b.slot_busy[k] != 0.0) {
+        demand[k] += bound.rate_fps * b.slot_busy[k];
       }
     }
-    for (const auto& [id, busy] : c.chiplet_busy) {
-      ChipletBound& cb = chiplets[id];
-      cb.chiplet_id = id;
-      cb.busy_s_per_frame += busy;
-      if (c.bound.rate_known) cb.demand += c.bound.rate_fps * busy;
-    }
-    report.streams.push_back(std::move(c.bound));
+    b.next_stream();
+    report.streams.push_back(std::move(bound));
   }
 
   const double capacity = pkg.nop().bandwidth_bytes_per_s;
   double uniform = 0.0;
   bool any_constraint = false;
+  b.sort_links(links);
   report.links.reserve(links.size());
-  for (auto& [link, lb] : links) {
-    (void)link;
+  for (const int id : links) {
+    const auto k = static_cast<std::size_t>(id);
+    LinkBound lb;
+    lb.link = b.ids.link(id);
+    lb.bytes_per_frame = link_bytes[k];
+    lb.demand_bytes_per_s = link_demand[k];
     lb.capacity_bytes_per_s = capacity;
     lb.utilization =
         capacity > 0.0 ? lb.demand_bytes_per_s / capacity : 0.0;
@@ -311,13 +432,15 @@ BoundsReport compute_bounds(const Schedule& schedule,
     report.links.push_back(lb);
   }
   // Emit chiplet bounds in package order, idle chiplets included, so the
-  // vector indexes like SimResult::chiplet_busy_s.
-  report.chiplets.reserve(pkg.chiplets().size());
+  // vector indexes like SimResult::chiplet_busy_s. Shards resolve a
+  // repeated id to its first slot, so every chiplet reads that slot.
+  report.chiplets.reserve(slots);
   for (const ChipletSpec& spec : pkg.chiplets()) {
+    const auto k = static_cast<std::size_t>(pkg.slot_of(spec.id));
     ChipletBound cb;
     cb.chiplet_id = spec.id;
-    const auto it = chiplets.find(spec.id);
-    if (it != chiplets.end()) cb = it->second;
+    cb.busy_s_per_frame = busy[k];
+    cb.demand = demand[k];
     cb.oversubscribed = cb.demand > 1.0;
     if (cb.busy_s_per_frame > 0.0) {
       const double cap_fps = 1.0 / cb.busy_s_per_frame;
