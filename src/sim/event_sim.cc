@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -34,176 +35,167 @@ struct ShardTask {
   double service_s = 0.0;
 };
 
-// One producer shard's message on a contended edge: its share of the tensor
-// routed from that shard's chiplet to the consumer.
-struct EdgeMsg {
-  std::vector<int> route;  // dense link indices, traversal order
+// A contended-mode message: its route is Program::links[route_begin,
+// route_end), dense link indices in traversal order.
+struct Msg {
+  int route_begin = 0;
+  int route_end = 0;
   double bytes = 0.0;
-};
-
-struct Edge {
-  int producer = 0;
-  // Analytical (fraction-weighted mean hop) edge delay via nop_gather_cost —
-  // the same formula evaluate_schedule prices, so the modes cross-validate.
-  double delay_s = 0.0;
-  std::vector<EdgeMsg> msgs;  // contended mode: one message per producer shard
-};
-
-struct Ingress {
-  int item = 0;
-  double delay_s = 0.0;
-  EdgeMsg msg;  // contended mode: the camera tensor's route from the I/O port
 };
 
 // Completion fan-out: one consumer edge of a finished producer.
 struct OutEdge {
   int consumer = 0;
-  const Edge* edge = nullptr;
+  // Analytical (fraction-weighted mean hop) edge delay via nop_gather_cost —
+  // the same formula evaluate_schedule prices, so the modes cross-validate.
+  double delay_s = 0.0;
+  // Contended mode: one message per producer shard, Program::msgs[msg_begin,
+  // msg_end): that shard's share of the tensor routed to the consumer.
+  int msg_begin = 0;
+  int msg_end = 0;
 };
 
-// Static (frame-independent) view of one schedule. Compiled once per
-// (schedule, NoP mode) and cached by the engine across runs; a run holds
-// up to two per tenant: the primary program and, under a FaultPlan, the
-// remapped degraded program swapped in per frame while the chiplet is down.
+struct Ingress {
+  int item = 0;
+  double delay_s = 0.0;
+  Msg msg;  // contended mode: the camera tensor's route from the I/O port
+};
+
+// Static (frame-independent) view of one schedule, as flat CSR arrays.
+// Compiled once per (schedule, NoP mode) and cached by the engine across
+// runs; a run holds up to two per tenant: the primary program and, under a
+// FaultPlan, the remapped degraded program swapped in per frame while the
+// chiplet is down.
 struct Program {
-  std::vector<std::vector<ShardTask>> shards_of_item;
-  std::vector<std::vector<Edge>> deps;  // deps[consumer] = producer edges
-  std::vector<std::vector<OutEdge>> outs;  // reverse adjacency of deps
-  std::vector<Ingress> ingress;         // stage-0 camera edges, model order
-  std::vector<int> base_deps;           // producer edges + ingress, per item
+  // Item i's shards are shards[shard_begin[i], shard_begin[i + 1]); its
+  // completion fan-out is outs[out_begin[i], out_begin[i + 1]), by
+  // consumer, then in edge enumeration order.
+  std::vector<int> shard_begin;
+  std::vector<ShardTask> shards;
+  std::vector<int> out_begin;
+  std::vector<OutEdge> outs;
+  std::vector<Msg> msgs;
+  // Every route, in resolution order: the link registration order a fresh
+  // fabric sees (see SimEngine::Impl::collect_run_links).
+  std::vector<int> links;
+  std::vector<Ingress> ingress;     // stage-0 camera edges, model order
+  std::vector<int> base_deps;       // producer edges + ingress, per item
+  std::vector<int> chiplet_shards;  // shards per dense chiplet
   int num_chiplets = 0;
+
+  std::span<const ShardTask> shards_of(int item) const {
+    const auto i = static_cast<std::size_t>(item);
+    return {shards.data() + shard_begin[i], shards.data() + shard_begin[i + 1]};
+  }
+  std::span<const OutEdge> outs_of(int item) const {
+    const auto i = static_cast<std::size_t>(item);
+    return {outs.data() + out_begin[i], outs.data() + out_begin[i + 1]};
+  }
+  std::span<const int> route(const Msg& m) const {
+    return {links.data() + m.route_begin, links.data() + m.route_end};
+  }
 };
 
 // `dense_pkg` defines the dense chiplet index space (always the ORIGINAL
 // package, so the primary and degraded programs share calendars); routes
 // and costs come from the schedule's own package, which for the degraded
-// program detours around the failed router. `link_order`, when non-null,
-// records every resolved dense link index in resolution order — the
-// engine replays these records to reconstruct the link registration order
-// a FRESH fabric would have seen, which fixes the link_stats output order
-// (see SimEngine::Impl::collect_run_links).
+// program detours around the failed router.
 Program build_program(const Schedule& sched, bool nop, bool contended,
-                      NopFabric& fabric, const PackageConfig& dense_pkg,
-                      std::vector<int>* link_order) {
-  const PerceptionPipeline& pipe = sched.pipeline();
+                      NopFabric& fabric, const PackageConfig& dense_pkg) {
   const PackageConfig& pkg = sched.package();
+  const auto n = static_cast<std::size_t>(sched.num_items());
 
   Program prog;
   prog.num_chiplets = dense_pkg.num_chiplets();
-  prog.shards_of_item.resize(static_cast<std::size_t>(sched.num_items()));
-  prog.deps.resize(static_cast<std::size_t>(sched.num_items()));
-
-  const auto dense_of = [&](int chiplet_id) {
-    const auto& specs = dense_pkg.chiplets();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].id == chiplet_id) return static_cast<int>(i);
-    }
-    throw std::out_of_range("chiplet id not in package");
-  };
-
-  const auto resolve_route = [&](const std::vector<NopLink>& route) {
-    std::vector<int> indices = fabric.resolve(route);
-    if (link_order != nullptr) {
-      link_order->insert(link_order->end(), indices.begin(), indices.end());
-    }
-    return indices;
-  };
-
-  for (int i = 0; i < sched.num_items(); ++i) {
-    for (const auto& sh : sched.priced(i).shards) {
-      prog.shards_of_item[static_cast<std::size_t>(i)].push_back(
-          ShardTask{dense_of(sh.chiplet_id), sh.cost.latency_s});
+  prog.chiplet_shards.assign(static_cast<std::size_t>(prog.num_chiplets), 0);
+  prog.shard_begin.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    prog.shard_begin[i + 1] =
+        prog.shard_begin[i] + sched.placement(static_cast<int>(i)).num_shards();
+  }
+  prog.shards.reserve(static_cast<std::size_t>(prog.shard_begin[n]));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& sh : sched.priced(static_cast<int>(i)).shards) {
+      const int dense = dense_pkg.slot_of(sh.chiplet_id);
+      if (dense < 0) throw std::out_of_range("chiplet id not in package");
+      prog.shards.push_back(ShardTask{dense, sh.cost.latency_s});
+      ++prog.chiplet_shards[static_cast<std::size_t>(dense)];
     }
   }
 
-  auto add_dep = [&](int consumer, int producer, double bytes) {
-    const Placement& from = sched.placement(producer);
-    const Placement& to = sched.placement(consumer);
-    Edge e;
-    e.producer = producer;
-    e.delay_s = nop ? nop_gather_cost(pkg, from, to, bytes).latency_s : 0.0;
-    if (contended) {
-      for (const auto& sh : from.shards) {
-        std::vector<NopLink> route =
-            pkg.route_between(sh.chiplet_id, to.primary_chiplet());
-        if (route.empty()) continue;
-        e.msgs.push_back(EdgeMsg{resolve_route(route), sh.fraction * bytes});
-      }
-    }
-    prog.deps[static_cast<std::size_t>(consumer)].push_back(std::move(e));
+  // Appends one message over `route` to the program's pools.
+  std::vector<NopLink> route;
+  const auto add_msg = [&](double bytes) {
+    Msg m{static_cast<int>(prog.links.size()), 0, bytes};
+    for (const NopLink& l : route) prog.links.push_back(fabric.index_of(l));
+    m.route_end = static_cast<int>(prog.links.size());
+    return m;
   };
-
-  for (int st = 0; st < pipe.num_stages(); ++st) {
-    const Stage& stage = pipe.stages[static_cast<std::size_t>(st)];
-    for (int mod = 0; mod < stage.num_models(); ++mod) {
-      const StageModel& sm = stage.models[static_cast<std::size_t>(mod)];
-      const std::vector<int>& items = sched.items_of_model(st, mod);
-      if (items.empty()) continue;
-      // Camera ingress into every stage-0 model (the edge evaluate_schedule
-      // prices as nop_transfer(kCameraInputBytes, hops_from_io)).
-      if (st == 0) {
-        const Placement& first = sched.placement(items.front());
+  // Producer edges in enumeration order.
+  struct EdgeRec {
+    int producer;
+    int consumer;
+    OutEdge out;
+  };
+  std::vector<EdgeRec> edges;
+  edges.reserve(n);
+  prog.base_deps.assign(n, 0);
+  for_each_schedule_edge(
+      sched,
+      [&](int item) {
+        const int dst = sched.placement(item).primary_chiplet();
         Ingress in;
-        in.item = items.front();
-        in.delay_s =
-            nop ? nop_ingress_cost(pkg, first.primary_chiplet()).latency_s
-                : 0.0;
+        in.item = item;
+        in.delay_s = nop ? nop_ingress_cost(pkg, dst).latency_s : 0.0;
         if (contended) {
-          in.msg = EdgeMsg{
-              resolve_route(pkg.route_from_io(first.primary_chiplet())),
-              kCameraInputBytes};
+          route.clear();
+          pkg.route_from_io(dst, route);
+          in.msg = add_msg(kCameraInputBytes);
         }
-        prog.ingress.push_back(std::move(in));
-      }
-      // Intra-model chain.
-      for (std::size_t li = 1; li < items.size(); ++li) {
-        add_dep(items[li], items[li - 1],
-                sm.model.layers[li - 1].output_bytes());
-      }
-      // Stage prefix -> parallel models.
-      if (!sm.prefix) {
-        for (int pm = 0; pm < stage.num_models(); ++pm) {
-          if (!stage.models[static_cast<std::size_t>(pm)].prefix) continue;
-          const std::vector<int>& pre = sched.items_of_model(st, pm);
-          if (!pre.empty()) {
-            add_dep(items.front(), pre.back(),
-                    stage.models[static_cast<std::size_t>(pm)].model.output_bytes());
+        prog.ingress.push_back(in);
+        ++prog.base_deps[static_cast<std::size_t>(item)];
+      },
+      [&](int producer, int consumer, double bytes) {
+        const Placement& from = sched.placement(producer);
+        const Placement& to = sched.placement(consumer);
+        OutEdge e;
+        e.consumer = consumer;
+        e.delay_s = nop ? nop_gather_cost(pkg, from, to, bytes).latency_s : 0.0;
+        e.msg_begin = static_cast<int>(prog.msgs.size());
+        if (contended) {
+          for (const auto& sh : from.shards) {
+            route.clear();
+            pkg.route_between(sh.chiplet_id, to.primary_chiplet(), route);
+            if (!route.empty()) prog.msgs.push_back(add_msg(sh.fraction * bytes));
           }
         }
-      }
-      // Previous stage parallel outputs -> this model's first layer (or the
-      // prefix model's first layer, which then gates the rest).
-      const bool receives_stage_input =
-          sm.prefix || stage.prefix_models().empty();
-      if (st > 0 && receives_stage_input) {
-        const Stage& prev = pipe.stages[static_cast<std::size_t>(st - 1)];
-        for (int pm = 0; pm < prev.num_models(); ++pm) {
-          if (prev.models[static_cast<std::size_t>(pm)].prefix) continue;
-          const std::vector<int>& src = sched.items_of_model(st - 1, pm);
-          if (!src.empty()) {
-            add_dep(items.front(), src.back(),
-                    prev.models[static_cast<std::size_t>(pm)].model.output_bytes());
-          }
-        }
-      }
-    }
-  }
+        e.msg_end = static_cast<int>(prog.msgs.size());
+        edges.push_back(EdgeRec{producer, consumer, e});
+        ++prog.base_deps[static_cast<std::size_t>(consumer)];
+      });
 
-  prog.base_deps.resize(static_cast<std::size_t>(sched.num_items()), 0);
-  for (int i = 0; i < sched.num_items(); ++i) {
-    prog.base_deps[static_cast<std::size_t>(i)] =
-        static_cast<int>(prog.deps[static_cast<std::size_t>(i)].size());
+  // Fan-out order is (producer, consumer, enumeration): a stable counting
+  // sort by consumer, then one by producer.
+  std::vector<int> by_consumer(edges.size());
+  std::vector<int> next(n + 1, 0);
+  for (const EdgeRec& e : edges) ++next[static_cast<std::size_t>(e.consumer) + 1];
+  for (std::size_t i = 0; i < n; ++i) next[i + 1] += next[i];
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    by_consumer[static_cast<std::size_t>(
+        next[static_cast<std::size_t>(edges[k].consumer)]++)] =
+        static_cast<int>(k);
   }
-  for (const Ingress& in : prog.ingress) {
-    ++prog.base_deps[static_cast<std::size_t>(in.item)];
+  prog.out_begin.assign(n + 1, 0);
+  for (const EdgeRec& e : edges) {
+    ++prog.out_begin[static_cast<std::size_t>(e.producer) + 1];
   }
-  // Reverse adjacency for completion fan-out. Edge pointers stay valid when
-  // the Program is moved: they point into the deps vectors' heap storage.
-  prog.outs.resize(static_cast<std::size_t>(sched.num_items()));
-  for (int i = 0; i < sched.num_items(); ++i) {
-    for (const Edge& e : prog.deps[static_cast<std::size_t>(i)]) {
-      prog.outs[static_cast<std::size_t>(e.producer)].push_back(OutEdge{i, &e});
-    }
+  for (std::size_t i = 0; i < n; ++i) prog.out_begin[i + 1] += prog.out_begin[i];
+  next.assign(prog.out_begin.begin(), prog.out_begin.end());
+  prog.outs.resize(edges.size());
+  for (const int k : by_consumer) {
+    const EdgeRec& e = edges[static_cast<std::size_t>(k)];
+    prog.outs[static_cast<std::size_t>(
+        next[static_cast<std::size_t>(e.producer)]++)] = e.out;
   }
   return prog;
 }
@@ -307,6 +299,7 @@ class MinHeap {
     v_.pop_back();
   }
   void clear() { v_.clear(); }
+  void reserve(std::size_t n) { v_.reserve(n); }
   // The least key(x) below `hi` among entries where in(key(x)) holds, or
   // `hi` when there is none. key must not decrease from a node to its
   // children and in must be monotone in the key, so a node at or above
@@ -509,7 +502,6 @@ struct DegradedEntry {
   std::optional<Schedule> remapped;
   Program prog;
   RemapStats remap_stats;
-  std::vector<int> build_links;  // resolved link indices, resolve order
   // Weight reloads charged when this variant takes over (empty / zero with
   // the memory model inactive). fault_reloads re-home the remapped weights
   // onto the survivors at the fault instant (one aggregated transfer per
@@ -526,7 +518,6 @@ struct DegradedEntry {
 // run's TenantCtx holds raw pointers into them).
 struct ProgramEntry {
   Program prog;
-  std::vector<int> build_links;
   std::vector<std::unique_ptr<DegradedEntry>> degraded;
 };
 
@@ -644,8 +635,7 @@ struct SimEngine::Impl {
       return it->second;
     }
     ProgramEntry e;
-    e.prog = build_program(sched, nop, contended, fabric, dense_pkg,
-                           contended ? &e.build_links : nullptr);
+    e.prog = build_program(sched, nop, contended, fabric, dense_pkg);
     ++stats.program_builds;
     // Inserted only after a successful build: a throwing build leaves the
     // cache without a half-constructed entry.
@@ -676,22 +666,17 @@ struct SimEngine::Impl {
     d->remapped.emplace(remap_schedule(*stream.sched, *pit->second,
                                        fault.chiplet_id, &d->remap_stats,
                                        *stream.allowed));
-    d->prog = build_program(*d->remapped, nop, contended, fabric, pkg,
-                            contended ? &d->build_links : nullptr);
+    d->prog = build_program(*d->remapped, nop, contended, fabric, pkg);
     // Reload plans (memory model active only — resolving them otherwise
     // would perturb the pinned link_stats order of the inactive model).
     if (pkg.memory_model_active()) {
-      const auto dense_of = [&](int chiplet_id) {
-        const auto& specs = pkg.chiplets();
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-          if (specs[i].id == chiplet_id) return static_cast<int>(i);
-        }
-        throw std::out_of_range("reload destination not in package");
-      };
       const auto plan = [&](const PackageConfig& routed, int chiplet_id,
                             double bytes) {
         ReloadPlan rp;
-        rp.dense_chiplet = dense_of(chiplet_id);
+        rp.dense_chiplet = pkg.slot_of(chiplet_id);
+        if (rp.dense_chiplet < 0) {
+          throw std::out_of_range("reload destination not in package");
+        }
         rp.bytes = bytes;
         rp.delay_s =
             nop ? routed.transfer_cost(-1, chiplet_id, bytes).latency_s : 0.0;
@@ -700,8 +685,6 @@ struct SimEngine::Impl {
         if (bw > 0.0) rp.delay_s += bytes / bw;
         if (contended) {
           rp.route = fabric.resolve(routed.route_from_io(chiplet_id));
-          d->build_links.insert(d->build_links.end(), rp.route.begin(),
-                                rp.route.end());
         }
         return rp;
       };
@@ -720,11 +703,12 @@ struct SimEngine::Impl {
   }
 
   // Reconstructs the link registration order of a FRESH fabric for this
-  // run — each program's resolution record replayed in fresh build order
-  // (primaries in tenant order, then degradeds in tenant order), first
-  // occurrence kept — so stats_into emits link_stats bitwise-identical to
-  // the one-shot path even though the persistent registry also holds
-  // links of other schedules simulated earlier.
+  // run — each program's route pool replayed in fresh build order
+  // (primaries in tenant order, then degradeds in tenant order, each
+  // followed by its reload routes), first occurrence kept — so stats_into
+  // emits link_stats bitwise-identical to the one-shot path even though
+  // the persistent registry also holds links of other schedules simulated
+  // earlier.
   void collect_run_links(bool faulted) {
     if (link_mark.size() < static_cast<std::size_t>(fabric.num_links())) {
       link_mark.resize(static_cast<std::size_t>(fabric.num_links()), 0);
@@ -739,9 +723,13 @@ struct SimEngine::Impl {
         }
       }
     };
-    for (const TenantCtx& c : ctx) add(c.entry->build_links);
+    for (const TenantCtx& c : ctx) add(c.primary->links);
     if (faulted) {
-      for (const TenantCtx& c : ctx) add(c.degraded->build_links);
+      for (const TenantCtx& c : ctx) {
+        add(c.degraded->prog.links);
+        for (const ReloadPlan& rp : c.degraded->fault_reloads) add(rp.route);
+        add(c.degraded->recover_reload.route);
+      }
     }
   }
 
@@ -885,11 +873,9 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   }
   const int nc = ctx.front().primary->num_chiplets;
 
-  int dead = -1;  // dense package-order index of the failed chiplet
+  // Dense package-order index of the failed chiplet.
+  const int dead = faulted ? pkg.slot_of(fault.chiplet_id) : -1;
   if (faulted) {
-    for (std::size_t i = 0; i < pkg.chiplets().size(); ++i) {
-      if (pkg.chiplets()[i].id == fault.chiplet_id) dead = static_cast<int>(i);
-    }
     if (dead < 0) {
       throw std::invalid_argument(
           "simulate_schedule: FaultPlan chiplet " +
@@ -1009,8 +995,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     for (int i = 0; i < items; ++i) {
       deps_left[idx(j, i)] = pr.base_deps[static_cast<std::size_t>(i)];
       ready_time[idx(j, i)] = 0.0;
-      shards_left[idx(j, i)] =
-          static_cast<int>(pr.shards_of_item[static_cast<std::size_t>(i)].size());
+      shards_left[idx(j, i)] = static_cast<int>(pr.shards_of(i).size());
     }
     frame_items_left[static_cast<std::size_t>(j)] = items;
   };
@@ -1018,14 +1003,22 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
 
   // Dense per-chiplet calendars (package order): a ready-time min-heap
   // feeding a dispatch-priority min-heap. Heap storage is grow-only so a
-  // smaller run never sheds the capacity a bigger one built up.
+  // smaller run never sheds the capacity a bigger one built up, and a
+  // fresh engine starts each heap at one frame of every tenant's shards
+  // on its chiplet.
   if (static_cast<int>(pending.size()) < nc) {
     pending.resize(static_cast<std::size_t>(nc));
     ready.resize(static_cast<std::size_t>(nc));
   }
-  for (int c = 0; c < nc; ++c) {
-    pending[static_cast<std::size_t>(c)].clear();
-    ready[static_cast<std::size_t>(c)].clear();
+  for (std::size_t c = 0; c < static_cast<std::size_t>(nc); ++c) {
+    std::size_t shards = 0;
+    for (const TenantCtx& t : ctx) {
+      shards += static_cast<std::size_t>(t.primary->chiplet_shards[c]);
+    }
+    pending[c].clear();
+    pending[c].reserve(shards);
+    ready[c].clear();
+    ready[c].reserve(shards);
   }
   const double inf = std::numeric_limits<double>::infinity();
   chiplet_free.assign(static_cast<std::size_t>(nc), 0.0);
@@ -1096,9 +1089,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // dispatch due at chiplet_free (invariant 1); otherwise it needs an
   // armed dispatch at or before `at`.
   const auto enqueue_item_shards = [&](int job, int item, double at) {
-    const auto& shards =
-        prog_of[static_cast<std::size_t>(job)]
-            ->shards_of_item[static_cast<std::size_t>(item)];
+    const std::span<const ShardTask> shards =
+        prog_of[static_cast<std::size_t>(job)]->shards_of(item);
     for (int s = 0; s < static_cast<int>(shards.size()); ++s) {
       const int c = shards[static_cast<std::size_t>(s)].chiplet;
       pending[static_cast<std::size_t>(c)].push(PendingShard{
@@ -1128,8 +1120,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     const int tenant = tenant_of[static_cast<std::size_t>(j)];
     for (const Ingress& in : pr.ingress) {
       double arrival = t + in.delay_s;
-      if (contended && !in.msg.route.empty()) {
-        const double wait = fabric.inject(in.msg.route, in.msg.bytes, t);
+      if (contended && in.msg.route_begin != in.msg.route_end) {
+        const double wait = fabric.inject(pr.route(in.msg), in.msg.bytes, t);
         tenant_wait[static_cast<std::size_t>(tenant)] += wait;
         arrival = t + in.delay_s + wait;
       }
@@ -1261,17 +1253,18 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
           result.frame_completion_s[static_cast<std::size_t>(f)] = finished;
         }
         const Program& pr = *prog_of[static_cast<std::size_t>(f)];
-        for (const OutEdge& oe : pr.outs[static_cast<std::size_t>(item)]) {
-          double arrival = finished + oe.edge->delay_s;
-          if (contended && !oe.edge->msgs.empty()) {
+        for (const OutEdge& oe : pr.outs_of(item)) {
+          double arrival = finished + oe.delay_s;
+          if (contended && oe.msg_begin != oe.msg_end) {
             double wait = 0.0;
-            for (const EdgeMsg& m : oe.edge->msgs) {
-              const double w = fabric.inject(m.route, m.bytes, finished);
+            for (int m = oe.msg_begin; m < oe.msg_end; ++m) {
+              const Msg& msg = pr.msgs[static_cast<std::size_t>(m)];
+              const double w = fabric.inject(pr.route(msg), msg.bytes, finished);
               if (w > wait) wait = w;
             }
             tenant_wait[static_cast<std::size_t>(
                 tenant_of[static_cast<std::size_t>(f)])] += wait;
-            arrival = finished + oe.edge->delay_s + wait;
+            arrival = finished + oe.delay_s + wait;
           }
           deliver(f, oe.consumer, arrival);
         }
@@ -1461,8 +1454,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
         }
         const double service =
             prog_of[static_cast<std::size_t>(task.job)]
-                ->shards_of_item[static_cast<std::size_t>(task.item)]
-                [static_cast<std::size_t>(task.shard)].service_s;
+                ->shards_of(task.item)[static_cast<std::size_t>(task.shard)]
+                .service_s;
         const double done = now + service;
         chiplet_free[c] = done;
         chiplet_busy[c] += service;

@@ -39,7 +39,7 @@ std::vector<int> NopFabric::resolve(const std::vector<NopLink>& route) {
   return indices;
 }
 
-double NopFabric::inject(const std::vector<int>& route, double bytes,
+double NopFabric::inject(std::span<const int> route, double bytes,
                          double time) {
   // Infinite bandwidth divides to exactly 0.0: zero-width occupancies never
   // conflict and the returned wait is exactly 0.0.

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "arch/package.h"
@@ -75,7 +76,7 @@ class NopFabric {
   // indices, in traversal order). Advances per-link occupancy and returns
   // the total FIFO queueing wait the message suffered (0.0 when every link
   // was free). Calls must be made in nondecreasing `time` order.
-  double inject(const std::vector<int>& route, double bytes, double time);
+  double inject(std::span<const int> route, double bytes, double time);
 
   int num_links() const { return static_cast<int>(links_.size()); }
   // Per-link statistics; `horizon_s` (typically the simulated makespan)
