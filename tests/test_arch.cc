@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "arch/chiplet.h"
 #include "arch/nop.h"
 #include "arch/package.h"
@@ -251,6 +255,76 @@ TEST(PackageConfig, WithoutChipletRemovesOne) {
 TEST(PackageConfig, WithoutChipletRejectsUnknownId) {
   const PackageConfig pkg = make_simba_package(2, 2);
   EXPECT_THROW(pkg.without_chiplet(99), std::out_of_range);
+}
+
+// The message every absent-id lookup throws.
+std::string lookup_error(const PackageConfig& pkg, int id) {
+  try {
+    (void)pkg.chiplet(id);
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "no throw";
+}
+
+TEST(PackageSlots, SurvivorsResolveAfterRemovals) {
+  const PackageConfig pkg = make_simba_package();
+  const PackageConfig degraded = pkg.without_chiplet(7).without_chiplet(20);
+  ASSERT_EQ(degraded.num_chiplets(), 34);
+  for (int k = 0; k < degraded.num_chiplets(); ++k) {
+    const ChipletSpec& spec = degraded.chiplets()[static_cast<std::size_t>(k)];
+    EXPECT_EQ(degraded.slot_of(spec.id), k);
+    EXPECT_EQ(&degraded.chiplet(spec.id), &spec);
+    EXPECT_EQ(spec.coord, pkg.chiplet(spec.id).coord);
+  }
+  // Ids past a removal shift down one slot per earlier removal.
+  EXPECT_EQ(degraded.slot_of(6), 6);
+  EXPECT_EQ(degraded.slot_of(8), 7);
+  EXPECT_EQ(degraded.slot_of(21), 19);
+  EXPECT_EQ(degraded.slot_of(35), 33);
+}
+
+TEST(PackageSlots, AbsentIdsThrowTheSameOutOfRange) {
+  const PackageConfig degraded = make_simba_package().without_chiplet(7);
+  for (const int id : {7, 36, 1000000, -1}) {
+    EXPECT_EQ(degraded.slot_of(id), -1) << id;
+    EXPECT_EQ(lookup_error(degraded, id),
+              "no chiplet with id " + std::to_string(id));
+    EXPECT_THROW(degraded.hops_between(0, id), std::out_of_range) << id;
+    EXPECT_THROW(degraded.hops_from_io(id), std::out_of_range) << id;
+  }
+}
+
+TEST(PackageSlots, SparseIdsResolve) {
+  // Ids far from the chiplet count (as a hand-written bundle may carry).
+  PackageConfig pkg({make_chiplet(-5, 0, 0), make_chiplet(1000000, 0, 1),
+                     make_chiplet(3, 0, 2)},
+                    NopParams{});
+  EXPECT_EQ(pkg.slot_of(-5), 0);
+  EXPECT_EQ(pkg.slot_of(1000000), 1);
+  EXPECT_EQ(pkg.slot_of(3), 2);
+  EXPECT_EQ(pkg.slot_of(4), -1);
+  EXPECT_EQ(pkg.hops_between(-5, 3), 2);
+  EXPECT_EQ(lookup_error(pkg, 999999), "no chiplet with id 999999");
+}
+
+TEST(PackageSlots, CopiesAndMovesKeepValidLookups) {
+  const PackageConfig original = make_simba_package().without_chiplet(14);
+  PackageConfig copy = original;
+  PackageConfig source = original;
+  const PackageConfig moved = std::move(source);
+  const PackageConfig* const lookups[] = {&copy, &moved};
+  for (const PackageConfig* pkg : lookups) {
+    for (int k = 0; k < pkg->num_chiplets(); ++k) {
+      const ChipletSpec& spec = pkg->chiplets()[static_cast<std::size_t>(k)];
+      EXPECT_EQ(pkg->slot_of(spec.id), k);
+      EXPECT_EQ(&pkg->chiplet(spec.id), &spec);
+    }
+    EXPECT_EQ(pkg->slot_of(14), -1);
+    EXPECT_EQ(lookup_error(*pkg, 14), "no chiplet with id 14");
+  }
+  copy = moved;
+  EXPECT_EQ(&copy.chiplet(35), &copy.chiplets().back());
 }
 
 TEST(PackageConfig, WithoutChipletPreservesNop) {

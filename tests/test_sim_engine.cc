@@ -22,6 +22,7 @@
 #endif
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "sim/serving.h"
 #include "sim_result_eq.h"
 #include "workloads/model.h"
+#include "workloads/zoo.h"
 
 namespace {
 // Counts every global operator new (scalar and array) on this thread.
@@ -346,6 +348,40 @@ TEST(SimEngine, SteadyStateRunsAreAllocationFree) {
         << label << ": a run skipped the re-sort";
     EXPECT_EQ(g_new_calls - before, 0)
         << label << ": re-sorting run allocated";
+  }
+
+  // The serving load-search probe shape: four partitioned open-loop
+  // tenants under Poisson arrivals with a drop-oldest queue, re-run at
+  // changing rates. A fresh plan grows its heaps over the first pass of
+  // probes; every later pass must not allocate.
+  const PackageConfig quad = make_simba_package(4, 4);
+  const PerceptionPipeline probe_pipe = build_fault_probe_pipeline(3);
+  std::vector<TenantWorkload> fleet;
+  for (int t = 0; t < 4; ++t) {
+    TenantWorkload w;
+    w.pipeline = &probe_pipe;
+    w.frames = 32;
+    w.deadline_s = 0.05;
+    w.arrivals.kind = ArrivalKind::kPoisson;
+    w.arrivals.rate_fps = 100.0;
+    w.arrivals.seed = 1000u + static_cast<std::uint64_t>(t);
+    w.admission.queue_capacity = 4;
+    w.admission.policy = ShedPolicy::kDropOldest;
+    fleet.push_back(w);
+  }
+  ServingOptions serving;
+  serving.policy = PlacementPolicy::kPartitioned;
+  serving.nop_mode = NopMode::kContended;
+  ServingPlan plan(quad, fleet, serving);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const double scale : {0.5, 0.9, 1.5}) {
+      const long long before = g_new_calls;
+      plan.run_at_rate_into(100.0 * scale, out);
+      if (pass > 0) {
+        EXPECT_EQ(g_new_calls - before, 0)
+            << "serving probe at " << scale << "x allocated on pass " << pass;
+      }
+    }
   }
 }
 
