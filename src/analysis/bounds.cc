@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -64,91 +63,43 @@ bool structurally_clean(const Schedule& s) {
   return s.num_items() > 0;
 }
 
-// Dense ids for the links one compute_bounds call touches, in first-seen
-// order, found through an open-addressed hash of the link's fields.
-class LinkIds {
- public:
-  int id_of(const NopLink& link) {
-    if (2 * links_.size() + 2 > table_.size()) {
-      table_.assign(std::max<std::size_t>(64, 2 * table_.size()), -1);
-      for (std::size_t id = 0; id < links_.size(); ++id) {
-        table_[free_bucket(links_[id])] = static_cast<int>(id);
-      }
-    }
-    const std::size_t b = free_bucket(link);
-    if (table_[b] < 0) {
-      table_[b] = static_cast<int>(links_.size());
-      links_.push_back(link);
-    }
-    return table_[b];
-  }
-  const NopLink& link(int id) const {
-    return links_[static_cast<std::size_t>(id)];
-  }
-  int size() const { return static_cast<int>(links_.size()); }
-
- private:
-  // The bucket holding `link`, or the empty bucket its probe ends at.
-  std::size_t free_bucket(const NopLink& link) const {
-    std::uint64_t h = static_cast<std::uint64_t>(link.kind);
-    for (const int v : {link.npu, link.npu_to, link.from.row, link.from.col,
-                        link.to.row, link.to.col, link.substrate_step}) {
-      h = (h ^ static_cast<std::uint32_t>(v)) * 0x9E3779B97F4A7C15ull;
-    }
-    const std::size_t mask = table_.size() - 1;
-    for (std::size_t b = (h >> 32) & mask;; b = (b + 1) & mask) {
-      const int id = table_[b];
-      if (id < 0 || links_[static_cast<std::size_t>(id)] == link) return b;
-    }
-  }
-
-  std::vector<NopLink> links_;
-  std::vector<int> table_;
+// One route link's share of a stream's per-frame bytes.
+struct LinkBytes {
+  NopLink link;
+  double bytes = 0.0;
 };
 
-// Buffers of one compute_bounds call. Per-stream demand accumulates in the
-// link- and slot-indexed `link_bytes` / `slot_busy` and is merged into the
-// totals only once the stream has priced, so a stream that turns out
-// unpriceable (a NoP edge the degraded package cannot route) is dropped
-// whole instead of half-merged.
+// Orders by link; std::stable_sort keeps each link's bytes in the order
+// they were added, so folding a run of equal links sums them exactly as a
+// per-link accumulator fed in that order would.
+bool by_link(const LinkBytes& a, const LinkBytes& b) {
+  return a.link < b.link;
+}
+
+// Buffers of one compute_bounds call, reused across its streams.
 struct BoundsScratch {
-  LinkIds ids;
   std::vector<NopLink> route;
-  int stream = 0;                  // streams priced or dropped so far
-  std::vector<double> link_bytes;  // this stream's bytes/frame per link id
-  std::vector<int> link_stream;    // per link id: last stream touching it
-  std::vector<int> stream_links;   // link ids this stream touched
+  std::vector<LinkBytes> hops;     // every route link crossed, in order
+  std::vector<LinkBytes> links;    // this stream's bytes per link
   std::vector<double> slot_busy;   // this stream's busy s/frame per slot
-  // Edges in enumeration order, then as CSR predecessors per consumer.
-  std::vector<int> edge_src;
-  std::vector<int> edge_dst;
-  std::vector<double> edge_delay;
-  std::vector<int> pred_begin;
-  std::vector<int> pred_src;
-  std::vector<double> pred_delay;
+  struct Edge {
+    int consumer;
+    int producer;
+    double delay_s;
+  };
+  std::vector<Edge> edges;         // by consumer, then enumeration order
+  std::vector<int> pred_begin;     // CSR into `edges` per consumer
   std::vector<double> lat;
   std::vector<double> ingress_delay;
   std::vector<double> complete;
   std::vector<char> expanding;
   std::vector<int> stack;
-
-  // Links in NopLink order.
-  void sort_links(std::vector<int>& links) const {
-    std::sort(links.begin(), links.end(), [this](int a, int b) {
-      return ids.link(a) < ids.link(b);
-    });
-  }
-  // Forgets the current stream's per-link and per-slot demand.
-  void next_stream() {
-    for (const int id : stream_links) {
-      link_bytes[static_cast<std::size_t>(id)] = 0.0;
-    }
-    stream_links.clear();
-    std::fill(slot_busy.begin(), slot_busy.end(), 0.0);
-    ++stream;
-  }
 };
 
+// Prices one stream into the returned bound plus `b.links` (NopLink
+// order) and `b.slot_busy`, which the caller merges only when the whole
+// stream priced: a stream that turns out unpriceable (a NoP edge the
+// degraded package cannot route) throws and is dropped whole.
 StreamBound price_stream(const StreamRef& v, const PackageConfig& pkg,
                          bool nop, BoundsScratch& b) {
   const Schedule& s = *v.sched;
@@ -162,6 +113,7 @@ StreamBound price_stream(const StreamRef& v, const PackageConfig& pkg,
 
   // Per-item compute roofline (max over shards — exactly the simulator's
   // per-shard task cost) and per-chiplet busy accumulation.
+  std::fill(b.slot_busy.begin(), b.slot_busy.end(), 0.0);
   b.lat.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (const ShardAssignment& sh : s.priced(static_cast<int>(i)).shards) {
@@ -176,12 +128,9 @@ StreamBound price_stream(const StreamRef& v, const PackageConfig& pkg,
   // fraction-scaled routing). Unroutable edges on a degraded package are
   // skipped — R001/R002 report them; skipping only lowers the bound.
   b.ingress_delay.assign(n, 0.0);
-  b.edge_src.clear();
-  b.edge_dst.clear();
-  b.edge_delay.clear();
-  b.edge_src.reserve(n);
-  b.edge_dst.reserve(n);
-  b.edge_delay.reserve(n);
+  b.hops.clear();
+  b.edges.clear();
+  b.edges.reserve(n);
   const auto add_route = [&](int from, int to, double bytes) {
     b.route.clear();
     try {
@@ -193,19 +142,7 @@ StreamBound price_stream(const StreamRef& v, const PackageConfig& pkg,
     } catch (const std::runtime_error&) {
       return;
     }
-    for (const NopLink& l : b.route) {
-      const int id = b.ids.id_of(l);
-      const auto k = static_cast<std::size_t>(id);
-      if (k >= b.link_bytes.size()) {
-        b.link_bytes.resize(k + 1, 0.0);
-        b.link_stream.resize(k + 1, -1);
-      }
-      if (b.link_stream[k] != b.stream) {
-        b.link_stream[k] = b.stream;
-        b.stream_links.push_back(id);
-      }
-      b.link_bytes[k] += bytes;
-    }
+    for (const NopLink& l : b.route) b.hops.push_back(LinkBytes{l, bytes});
   };
   for_each_schedule_edge(
       s,
@@ -227,23 +164,18 @@ StreamBound price_stream(const StreamRef& v, const PackageConfig& pkg,
             add_route(sh.chiplet_id, dst, sh.fraction * bytes);
           }
         }
-        b.edge_src.push_back(producer);
-        b.edge_dst.push_back(consumer);
-        b.edge_delay.push_back(delay);
+        b.edges.push_back({consumer, producer, delay});
       });
-  // Predecessors per consumer as CSR, each list in enumeration order.
+  std::stable_sort(b.edges.begin(), b.edges.end(),
+                   [](const BoundsScratch::Edge& x,
+                      const BoundsScratch::Edge& y) {
+                     return x.consumer < y.consumer;
+                   });
   b.pred_begin.assign(n + 1, 0);
-  for (const int c : b.edge_dst) ++b.pred_begin[static_cast<std::size_t>(c) + 1];
-  for (std::size_t i = 0; i < n; ++i) b.pred_begin[i + 1] += b.pred_begin[i];
-  b.pred_src.resize(b.edge_src.size());
-  b.pred_delay.resize(b.edge_src.size());
-  b.stack.assign(b.pred_begin.begin(), b.pred_begin.end() - 1);
-  for (std::size_t e = 0; e < b.edge_src.size(); ++e) {
-    const auto slot = static_cast<std::size_t>(
-        b.stack[static_cast<std::size_t>(b.edge_dst[e])]++);
-    b.pred_src[slot] = b.edge_src[e];
-    b.pred_delay[slot] = b.edge_delay[e];
+  for (const BoundsScratch::Edge& e : b.edges) {
+    ++b.pred_begin[static_cast<std::size_t>(e.consumer) + 1];
   }
+  for (std::size_t i = 0; i < n; ++i) b.pred_begin[i + 1] += b.pred_begin[i];
 
   // Longest path over the DAG: complete(i) = ready(i) + lat(i), ready(i) =
   // max(ingress delay, max over deps of complete(p) + edge delay).
@@ -265,22 +197,22 @@ StreamBound price_stream(const StreamRef& v, const PackageConfig& pkg,
         continue;
       }
       b.expanding[ti] = 1;
-      const auto first = static_cast<std::size_t>(b.pred_begin[ti]);
-      const auto last = static_cast<std::size_t>(b.pred_begin[ti + 1]);
+      const auto first = b.edges.begin() + b.pred_begin[ti];
+      const auto last = b.edges.begin() + b.pred_begin[ti + 1];
       bool deps_ready = true;
-      for (std::size_t k = first; k < last; ++k) {
-        const auto pi = static_cast<std::size_t>(b.pred_src[k]);
+      for (auto e = first; e != last; ++e) {
+        const auto pi = static_cast<std::size_t>(e->producer);
         if (b.complete[pi] < 0.0 && b.expanding[pi] == 0) {
-          b.stack.push_back(b.pred_src[k]);
+          b.stack.push_back(e->producer);
           deps_ready = false;
         }
       }
       if (!deps_ready) continue;
       double ready = b.ingress_delay[ti];
-      for (std::size_t k = first; k < last; ++k) {
-        const auto pi = static_cast<std::size_t>(b.pred_src[k]);
+      for (auto e = first; e != last; ++e) {
+        const auto pi = static_cast<std::size_t>(e->producer);
         if (b.complete[pi] < 0.0) continue;  // malformed-input cycle guard
-        ready = std::max(ready, b.complete[pi] + b.pred_delay[k]);
+        ready = std::max(ready, b.complete[pi] + e->delay_s);
       }
       b.complete[ti] = ready + b.lat[ti];
       b.expanding[ti] = 0;
@@ -291,10 +223,15 @@ StreamBound price_stream(const StreamRef& v, const PackageConfig& pkg,
     out.latency_bound_s = std::max(out.latency_bound_s, c);
   }
 
-  b.sort_links(b.stream_links);
-  for (const int id : b.stream_links) {
-    out.bytes_per_frame += b.link_bytes[static_cast<std::size_t>(id)];
+  std::stable_sort(b.hops.begin(), b.hops.end(), by_link);
+  b.links.clear();
+  for (const LinkBytes& h : b.hops) {
+    if (b.links.empty() || !(b.links.back().link == h.link)) {
+      b.links.push_back(LinkBytes{h.link, 0.0});
+    }
+    b.links.back().bytes += h.bytes;
   }
+  for (const LinkBytes& l : b.links) out.bytes_per_frame += l.bytes;
   out.deadline_infeasible =
       v.deadline_s > 0.0 && out.latency_bound_s > v.deadline_s;
   return out;
@@ -370,11 +307,10 @@ BoundsReport compute_bounds(const Schedule& schedule,
   const bool link_binding = nop && options.nop_mode == NopMode::kContended;
   const std::size_t slots = pkg.chiplets().size();
   BoundsScratch b;
-  b.slot_busy.assign(slots, 0.0);
-  // Totals over the priced streams, per link id and per package slot.
-  std::vector<double> link_bytes;
-  std::vector<double> link_demand;
-  std::vector<int> links;  // link ids some priced stream touched
+  b.slot_busy.resize(slots);
+  // Every priced stream's per-link bytes, stream-major, with the stream's
+  // rate (negative when unknown); totals over streams per slot.
+  std::vector<std::pair<LinkBytes, double>> link_rows;
   std::vector<double> busy(slots, 0.0);
   std::vector<double> demand(slots, 0.0);
   std::vector<const Schedule*> priced_scheds;
@@ -384,42 +320,35 @@ BoundsReport compute_bounds(const Schedule& schedule,
     try {
       bound = price_stream(v, pkg, nop, b);
     } catch (const std::exception&) {
-      b.next_stream();
       continue;  // unpriceable (unroutable NoP edge): skip the stream
     }
     priced_scheds.push_back(v.sched);
-    link_bytes.resize(b.link_bytes.size(), -1.0);
-    link_demand.resize(b.link_bytes.size(), 0.0);
-    for (const int id : b.stream_links) {
-      const auto k = static_cast<std::size_t>(id);
-      if (link_bytes[k] < 0.0) {
-        link_bytes[k] = 0.0;
-        links.push_back(id);
-      }
-      link_bytes[k] += b.link_bytes[k];
-      if (bound.rate_known) link_demand[k] += bound.rate_fps * b.link_bytes[k];
-    }
+    const double rate = bound.rate_known ? bound.rate_fps : -1.0;
+    for (const LinkBytes& l : b.links) link_rows.emplace_back(l, rate);
     for (std::size_t k = 0; k < slots; ++k) {
       busy[k] += b.slot_busy[k];
       if (bound.rate_known && b.slot_busy[k] != 0.0) {
         demand[k] += bound.rate_fps * b.slot_busy[k];
       }
     }
-    b.next_stream();
     report.streams.push_back(std::move(bound));
   }
 
   const double capacity = pkg.nop().bandwidth_bytes_per_s;
   double uniform = 0.0;
   bool any_constraint = false;
-  b.sort_links(links);
-  report.links.reserve(links.size());
-  for (const int id : links) {
-    const auto k = static_cast<std::size_t>(id);
+  std::stable_sort(link_rows.begin(), link_rows.end(),
+                   [](const auto& x, const auto& y) {
+                     return by_link(x.first, y.first);
+                   });
+  for (std::size_t r = 0; r < link_rows.size();) {
     LinkBound lb;
-    lb.link = b.ids.link(id);
-    lb.bytes_per_frame = link_bytes[k];
-    lb.demand_bytes_per_s = link_demand[k];
+    lb.link = link_rows[r].first.link;
+    for (; r < link_rows.size() && link_rows[r].first.link == lb.link; ++r) {
+      const auto& [row, rate] = link_rows[r];
+      lb.bytes_per_frame += row.bytes;
+      if (rate >= 0.0) lb.demand_bytes_per_s += rate * row.bytes;
+    }
     lb.capacity_bytes_per_s = capacity;
     lb.utilization =
         capacity > 0.0 ? lb.demand_bytes_per_s / capacity : 0.0;

@@ -13,15 +13,13 @@ namespace cnpu {
 
 PackageConfig::PackageConfig(std::vector<ChipletSpec> chiplets, NopParams nop)
     : chiplets_(std::move(chiplets)), nop_(nop) {
-  const int limit = 2 * num_chiplets() + 64;
-  for (int k = 0; k < num_chiplets(); ++k) {
+  slot_by_id_.assign(2 * chiplets_.size() + 64, -1);
+  // Backwards, so the first chiplet carrying a repeated id keeps it.
+  for (int k = num_chiplets() - 1; k >= 0; --k) {
     const int id = chiplets_[static_cast<std::size_t>(k)].id;
-    if (id < 0 || id >= limit) continue;
-    if (id >= static_cast<int>(slot_by_id_.size())) {
-      slot_by_id_.resize(static_cast<std::size_t>(id) + 1, -1);
+    if (id >= 0 && id < static_cast<int>(slot_by_id_.size())) {
+      slot_by_id_[static_cast<std::size_t>(id)] = k;
     }
-    int& slot = slot_by_id_[static_cast<std::size_t>(id)];
-    if (slot < 0) slot = k;
   }
 }
 

@@ -194,10 +194,9 @@ class PackageConfig {
                         const GridCoord& to) const;
 
   std::vector<ChipletSpec> chiplets_;
-  // slot_by_id_[id] is slot_of(id) for every id in [0, size): the first
-  // chiplet carrying it, or -1. Ids are dense from make_* but not after
-  // without_chiplet; ids outside the table (negative, or far past the
-  // chiplet count, as a hand-written bundle may carry) fall back to a scan.
+  // slot_of(id) for every id in [0, 2 x chiplets + 64); ids are dense from
+  // make_* but not after without_chiplet. Ids outside the table (only a
+  // hand-written bundle carries them) fall back to a scan.
   std::vector<int> slot_by_id_;
   std::vector<FailedSite> failed_;
   NopParams nop_;

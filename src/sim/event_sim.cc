@@ -166,7 +166,9 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
           for (const auto& sh : from.shards) {
             route.clear();
             pkg.route_between(sh.chiplet_id, to.primary_chiplet(), route);
-            if (!route.empty()) prog.msgs.push_back(add_msg(sh.fraction * bytes));
+            if (!route.empty()) {
+              prog.msgs.push_back(add_msg(sh.fraction * bytes));
+            }
           }
         }
         e.msg_end = static_cast<int>(prog.msgs.size());
@@ -174,28 +176,20 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
         ++prog.base_deps[static_cast<std::size_t>(consumer)];
       });
 
-  // Fan-out order is (producer, consumer, enumeration): a stable counting
-  // sort by consumer, then one by producer.
-  std::vector<int> by_consumer(edges.size());
-  std::vector<int> next(n + 1, 0);
-  for (const EdgeRec& e : edges) ++next[static_cast<std::size_t>(e.consumer) + 1];
-  for (std::size_t i = 0; i < n; ++i) next[i + 1] += next[i];
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    by_consumer[static_cast<std::size_t>(
-        next[static_cast<std::size_t>(edges[k].consumer)]++)] =
-        static_cast<int>(k);
-  }
+  // Fan-out order: by producer, then consumer, then enumeration order.
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const EdgeRec& a, const EdgeRec& b) {
+                     return a.producer != b.producer ? a.producer < b.producer
+                                                     : a.consumer < b.consumer;
+                   });
   prog.out_begin.assign(n + 1, 0);
+  prog.outs.reserve(edges.size());
   for (const EdgeRec& e : edges) {
     ++prog.out_begin[static_cast<std::size_t>(e.producer) + 1];
+    prog.outs.push_back(e.out);
   }
-  for (std::size_t i = 0; i < n; ++i) prog.out_begin[i + 1] += prog.out_begin[i];
-  next.assign(prog.out_begin.begin(), prog.out_begin.end());
-  prog.outs.resize(edges.size());
-  for (const int k : by_consumer) {
-    const EdgeRec& e = edges[static_cast<std::size_t>(k)];
-    prog.outs[static_cast<std::size_t>(
-        next[static_cast<std::size_t>(e.producer)]++)] = e.out;
+  for (std::size_t i = 0; i < n; ++i) {
+    prog.out_begin[i + 1] += prog.out_begin[i];
   }
   return prog;
 }
@@ -1259,7 +1253,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
             double wait = 0.0;
             for (int m = oe.msg_begin; m < oe.msg_end; ++m) {
               const Msg& msg = pr.msgs[static_cast<std::size_t>(m)];
-              const double w = fabric.inject(pr.route(msg), msg.bytes, finished);
+              const double w =
+                  fabric.inject(pr.route(msg), msg.bytes, finished);
               if (w > wait) wait = w;
             }
             tenant_wait[static_cast<std::size_t>(

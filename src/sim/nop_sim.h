@@ -79,12 +79,10 @@ class NopFabric {
   double inject(std::span<const int> route, double bytes, double time);
 
   int num_links() const { return static_cast<int>(links_.size()); }
-  // Per-link statistics; `horizon_s` (typically the simulated makespan)
-  // normalizes busy time into utilization. Ordered by dense index, i.e.
-  // first-use order.
-  std::vector<LinkStats> stats(double horizon_s) const;
-  // Statistics restricted to `links` (dense indices, emitted in the given
-  // order) appended into a caller-owned vector that is cleared first — the
+  // Per-link statistics of `links` (dense indices, emitted in the given
+  // order); `horizon_s` (typically the simulated makespan) normalizes busy
+  // time into utilization. Appended into a caller-owned vector that is
+  // cleared first — the
   // reused-engine path reports exactly the links its current run's
   // programs resolved, in their registration order, so its link_stats are
   // bitwise-identical to a fresh fabric's. Allocation-free once `out` has
