@@ -306,7 +306,7 @@ BoundsReport compute_bounds(const Schedule& schedule,
   const bool nop = options.model_nop_delays;
   const bool link_binding = nop && options.nop_mode == NopMode::kContended;
   const std::size_t slots = pkg.chiplets().size();
-  BoundsScratch b;
+  thread_local BoundsScratch b;  // reused by every call on this thread
   b.slot_busy.resize(slots);
   // Every priced stream's per-link bytes, stream-major, with the stream's
   // rate (negative when unknown); totals over streams per slot.

@@ -5,7 +5,6 @@
 #include <deque>
 #include <map>
 #include <stdexcept>
-#include <tuple>
 
 #include "util/strings.h"
 
@@ -341,14 +340,6 @@ std::string NopLink::describe() const {
                                     std::to_string(from.col) + ")";
   return "npu" + std::to_string(npu) + ":" + src + "->(" +
          std::to_string(to.row) + "," + std::to_string(to.col) + ")";
-}
-
-bool operator<(const NopLink& a, const NopLink& b) {
-  const auto key = [](const NopLink& l) {
-    return std::tuple(static_cast<int>(l.kind), l.npu, l.npu_to, l.from.row,
-                      l.from.col, l.to.row, l.to.col, l.substrate_step);
-  };
-  return key(a) < key(b);
 }
 
 NopCost PackageConfig::transfer_cost(int from_chiplet, int to_chiplet,

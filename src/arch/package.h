@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "arch/chiplet.h"
@@ -38,8 +39,14 @@ struct NopLink {
   bool operator==(const NopLink&) const = default;
 };
 
-// Strict weak order so links can key associative containers.
-bool operator<(const NopLink& a, const NopLink& b);
+// Strict weak order so links can key associative containers and sort.
+inline bool operator<(const NopLink& a, const NopLink& b) {
+  const auto key = [](const NopLink& l) {
+    return std::tuple(static_cast<int>(l.kind), l.npu, l.npu_to, l.from.row,
+                      l.from.col, l.to.row, l.to.col, l.substrate_step);
+  };
+  return key(a) < key(b);
+}
 
 // A grid position whose chiplet was removed by without_chiplet. The
 // position's mesh router dies with its chiplet (there is no standalone
