@@ -76,19 +76,20 @@ bool by_link(const LinkBytes& a, const LinkBytes& b) {
   return a.link < b.link;
 }
 
-// Buffers of one compute_bounds call, reused across its streams.
+// Buffers compute_bounds reuses across its streams and, per thread,
+// across calls.
 struct BoundsScratch {
   std::vector<NopLink> route;
-  std::vector<LinkBytes> hops;     // every route link crossed, in order
-  std::vector<LinkBytes> links;    // this stream's bytes per link
-  std::vector<double> slot_busy;   // this stream's busy s/frame per slot
+  std::vector<LinkBytes> hops;    // every route link crossed, in order
+  std::vector<LinkBytes> links;   // this stream's bytes per link
+  std::vector<double> slot_busy;  // this stream's busy s/frame per slot
   struct Edge {
     int consumer;
     int producer;
     double delay_s;
   };
-  std::vector<Edge> edges;         // by consumer, then enumeration order
-  std::vector<int> pred_begin;     // CSR into `edges` per consumer
+  std::vector<Edge> edges;      // by consumer, then enumeration order
+  std::vector<int> pred_begin;  // CSR into `edges` per consumer
   std::vector<double> lat;
   std::vector<double> ingress_delay;
   std::vector<double> complete;
