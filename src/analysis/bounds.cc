@@ -76,8 +76,7 @@ bool by_link(const LinkBytes& a, const LinkBytes& b) {
   return a.link < b.link;
 }
 
-// Buffers compute_bounds reuses across its streams and, per thread,
-// across calls.
+// Buffers compute_bounds reuses across its streams.
 struct BoundsScratch {
   std::vector<NopLink> route;
   std::vector<LinkBytes> hops;    // every route link crossed, in order
@@ -307,7 +306,7 @@ BoundsReport compute_bounds(const Schedule& schedule,
   const bool nop = options.model_nop_delays;
   const bool link_binding = nop && options.nop_mode == NopMode::kContended;
   const std::size_t slots = pkg.chiplets().size();
-  thread_local BoundsScratch b;  // reused by every call on this thread
+  BoundsScratch b;
   b.slot_busy.resize(slots);
   // Every priced stream's per-link bytes, stream-major, with the stream's
   // rate (negative when unknown); totals over streams per slot.
