@@ -12,13 +12,14 @@ namespace cnpu {
 
 PackageConfig::PackageConfig(std::vector<ChipletSpec> chiplets, NopParams nop)
     : chiplets_(std::move(chiplets)), nop_(nop) {
-  slot_by_id_.assign(2 * chiplets_.size() + 64, -1);
+  int max_id = -1;
+  for (const ChipletSpec& c : chiplets_) max_id = std::max(max_id, c.id);
+  if (max_id >= 4 * num_chiplets()) return;  // too sparse: slot_of scans
+  slot_by_id_.assign(static_cast<std::size_t>(max_id + 1), -1);
   // Backwards, so the first chiplet carrying a repeated id keeps it.
   for (int k = num_chiplets() - 1; k >= 0; --k) {
     const int id = chiplets_[static_cast<std::size_t>(k)].id;
-    if (id >= 0 && id < static_cast<int>(slot_by_id_.size())) {
-      slot_by_id_[static_cast<std::size_t>(id)] = k;
-    }
+    if (id >= 0) slot_by_id_[static_cast<std::size_t>(id)] = k;
   }
 }
 

@@ -73,7 +73,7 @@ class PackageConfig {
   // Throws std::out_of_range when no chiplet has that id.
   const ChipletSpec& chiplet(int id) const;
   // Position of chiplet `id` in chiplets(), or -1 when no chiplet has that
-  // id (never had it, or lost it to without_chiplet). O(1).
+  // id (never had it, or lost it to without_chiplet). O(1) on dense ids.
   int slot_of(int id) const;
   // nullopt when no chiplet has that id.
   std::optional<int> find_chiplet_at(const GridCoord& coord, int npu = 0) const;
@@ -201,9 +201,10 @@ class PackageConfig {
                         const GridCoord& to) const;
 
   std::vector<ChipletSpec> chiplets_;
-  // slot_of(id) for every id in [0, 2 x chiplets + 64); ids are dense from
-  // make_* but not after without_chiplet. Ids outside the table (only a
-  // hand-written bundle carries them) fall back to a scan.
+  // slot_of(id) for every id in [0, max id], built when the ids are dense
+  // enough (max id < 4 x chiplets): every make_* package has ids in
+  // [0, chiplets), and without_chiplet keeps its survivors' ids. Negative
+  // ids and a sparser hand-written bundle fall back to a scan.
   std::vector<int> slot_by_id_;
   std::vector<FailedSite> failed_;
   NopParams nop_;
