@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -875,7 +877,34 @@ TEST(Serving, MaxSustainableLoadFindsFeasibleRate) {
   }
 }
 
-// The search is deterministic for any sweep-engine thread count.
+// Every field of two searches, probe by probe; the p99 compares as a bit
+// pattern so a NaN tail or a last-ulp drift both show.
+void expect_same_search(const LoadSearchResult& serial,
+                        const LoadSearchResult& other, int threads) {
+  SCOPED_TRACE("threads=" + std::to_string(threads));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.max_fps),
+            std::bit_cast<std::uint64_t>(other.max_fps));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.min_infeasible_fps),
+            std::bit_cast<std::uint64_t>(other.min_infeasible_fps));
+  EXPECT_EQ(serial.rounds, other.rounds);
+  ASSERT_EQ(serial.probes.size(), other.probes.size());
+  for (std::size_t i = 0; i < serial.probes.size(); ++i) {
+    const LoadProbe& a = serial.probes[i];
+    const LoadProbe& b = other.probes[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.fps),
+              std::bit_cast<std::uint64_t>(b.fps)) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.worst_p99_s),
+              std::bit_cast<std::uint64_t>(b.worst_p99_s)) << i;
+    EXPECT_EQ(a.deadline_misses, b.deadline_misses) << i;
+    EXPECT_EQ(a.shed_frames, b.shed_frames) << i;
+    EXPECT_EQ(a.feasible, b.feasible) << i;
+  }
+}
+
+// The search is deterministic for any sweep-engine thread count: a
+// closed-loop shared fleet, and the serving_openloop benchmark's shape
+// (partitioned, contended NoP, Poisson arrivals, a drop-oldest queue of
+// four frames), each at 1-4 threads against the serial search.
 TEST(Serving, MaxSustainableLoadDeterministicAcrossThreadCounts) {
   const ServingScenario s;
   std::vector<TenantWorkload> fleet = s.fleet(2, 0.0, s.healthy * 4.0);
@@ -887,17 +916,40 @@ TEST(Serving, MaxSustainableLoadDeterministicAcrossThreadCounts) {
   search.fps_hi = 1.5 / s.healthy;
   search.probes_per_round = 3;
   search.max_rounds = 2;
+
+  std::vector<TenantWorkload> open = s.fleet(4, 0.0, s.healthy * 8.0);
+  for (std::size_t t = 0; t < open.size(); ++t) {
+    TenantWorkload& w = open[t];
+    w.frames = 24;
+    w.priority = 0;
+    w.arrivals.kind = ArrivalKind::kPoisson;
+    w.arrivals.rate_fps = 1.0 / s.healthy;
+    w.arrivals.seed = 0x5E7u + t;
+    w.admission.queue_capacity = 4;
+    w.admission.policy = ShedPolicy::kDropOldest;
+  }
+  ServingOptions open_opt;
+  open_opt.policy = PlacementPolicy::kPartitioned;
+  open_opt.nop_mode = NopMode::kContended;
+  LoadSearchOptions open_search;
+  open_search.fps_lo = 0.02 / s.healthy;
+  open_search.fps_hi = 2.0 / s.healthy;
+  open_search.use_static_bound = true;
+
   search.threads = 1;
+  open_search.threads = 1;
   const LoadSearchResult serial = max_sustainable_load(s.pkg, fleet, opt, search);
-  search.threads = 0;
-  const LoadSearchResult parallel =
-      max_sustainable_load(s.pkg, fleet, opt, search);
-  EXPECT_EQ(serial.max_fps, parallel.max_fps);
-  EXPECT_EQ(serial.min_infeasible_fps, parallel.min_infeasible_fps);
-  ASSERT_EQ(serial.probes.size(), parallel.probes.size());
-  for (std::size_t i = 0; i < serial.probes.size(); ++i) {
-    EXPECT_EQ(serial.probes[i].fps, parallel.probes[i].fps);
-    EXPECT_EQ(serial.probes[i].feasible, parallel.probes[i].feasible);
+  const LoadSearchResult open_serial =
+      max_sustainable_load(s.pkg, open, open_opt, open_search);
+  ASSERT_GT(open_serial.rounds, 1);
+  for (const int threads : {1, 2, 3, 4}) {
+    search.threads = threads;
+    open_search.threads = threads;
+    expect_same_search(serial, max_sustainable_load(s.pkg, fleet, opt, search),
+                       threads);
+    expect_same_search(
+        open_serial, max_sustainable_load(s.pkg, open, open_opt, open_search),
+        threads);
   }
 }
 
