@@ -17,6 +17,7 @@
 #include "core/evaluator.h"
 #include "core/remap.h"
 #include "core/residency.h"
+#include "sim/event_calendar.h"
 #include "util/stats.h"
 
 namespace cnpu {
@@ -193,42 +194,6 @@ Program build_program(const Schedule& sched, bool nop, bool contended,
   }
   return prog;
 }
-
-// Event kinds, in tie-break order at equal timestamps: frame admissions
-// first (so ingress messages claim links before same-instant completions),
-// then shard finishes (so freed dependents are visible), then dispatches,
-// then the fault flush (so same-instant work lands before the machine is
-// flushed, keeping the boundary well-defined), then recovery.
-enum EvKind : int {
-  kAdmit = 0,
-  kFinish = 1,
-  kDispatch = 2,
-  kFault = 3,
-  kRecover = 4,
-};
-
-struct Ev {
-  double time;
-  int kind;
-  int a;  // admit: frame; finish: frame; dispatch: dense chiplet
-  int b;  // finish: item
-  int c;  // finish: frame epoch at dispatch (stale-event filter)
-  int chiplet;  // finish: dense chiplet that ran the task (not ordered)
-};
-
-// Total over the ordered fields. Two shard finishes of one item at one
-// instant tie (only `chiplet` differs), and either order does the same
-// work: both decrement the item's shard count, the second completes it,
-// and both chiplets join the dispatch lane before any dispatch pops.
-struct EvAfter {
-  bool operator()(const Ev& x, const Ev& y) const {
-    if (x.time != y.time) return x.time > y.time;
-    if (x.kind != y.kind) return x.kind > y.kind;
-    if (x.a != y.a) return x.a > y.a;
-    if (x.b != y.b) return x.b > y.b;
-    return x.c > y.c;
-  }
-};
 
 // A shard waiting for its ready time on a chiplet's calendar. `rank` is
 // the owning job's dispatch rank — equal to its frame index for a single
@@ -606,7 +571,7 @@ struct SimEngine::Impl {
   // Per chiplet: the time of the armed dispatch event the loop relies on,
   // +inf when none is armed (see run_into's `arm`).
   std::vector<double> wake;
-  MinHeap<Ev, EvAfter> events;
+  EventCalendar events;
   // The dispatch lane: chiplets whose completion dispatch is due at the
   // current instant, least id first (see run_into's event loop).
   MinHeap<int, std::greater<int>> due;
@@ -1045,7 +1010,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   result.reload_time_s = 0.0;
   result.tenants.resize(static_cast<std::size_t>(num_tenants));
 
-  // Every heap push; keeps EngineStats::event_heap_high_water.
+  // Every calendar push; keeps EngineStats::event_heap_high_water.
   const auto post = [&](const Ev& e) {
     events.push(e);
     const auto n = static_cast<long long>(events.size());
@@ -1058,7 +1023,7 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   //     when that finish pops; fault, reload and recovery push theirs;
   //  2. an idle chiplet with pending work has one armed dispatch, at
   //     wake[c] <= its earliest pending ready time;
-  //  3. only the next admission of each tenant is in the heap.
+  //  3. only the next admission of each tenant is in the calendar.
   // A dispatch is therefore pushed only when it would fire before the
   // armed one. Dispatches at equal keys are idempotent and a dispatch that
   // finds its chiplet busy does nothing, so every dispatch that does work
@@ -1132,7 +1097,8 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
   // Invariant 3: each tenant's first admission; every kAdmit pushes its
   // successor. Per-tenant admission instants are nondecreasing and the
   // event order is total, so the successor is never due before the pop
-  // that pushes it and the pop sequence is that of a fully seeded heap.
+  // that pushes it and the pop sequence is that of a fully seeded
+  // calendar.
   for (int t = 0; t < num_tenants; ++t) {
     const int j = ctx[static_cast<std::size_t>(t)].job_base;
     post(Ev{admit_of[static_cast<std::size_t>(j)], kAdmit, j, 0, 0, 0});
@@ -1144,12 +1110,12 @@ void SimEngine::Impl::run_into(const Schedule& schedule,
     }
   }
 
-  // Two sources: the heap and the lane of completion dispatches, each lane
-  // entry standing for (due_at, kDispatch, c). A kFinish pops at the
+  // Two sources: the calendar and the lane of completion dispatches, each
+  // lane entry standing for (due_at, kDispatch, c). A kFinish pops at the
   // current instant and every lane entry sorts before any later event, so
   // the lane drains before time advances and due_at is that one instant;
   // taking the lesser head under EvAfter pops exactly the sequence of a
-  // single heap holding both (equal keys are the same dispatch).
+  // single calendar holding both (equal keys are the same dispatch).
   double due_at = 0.0;
   while (!events.empty() || !due.empty()) {
     Ev ev;

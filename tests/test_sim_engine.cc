@@ -10,6 +10,7 @@
 // property). Only the delta across one run_into call is asserted; gtest's
 // own allocations outside the window don't matter.
 #include "sim/event_sim.h"
+#include "sim/event_calendar.h"
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <queue>
+#include <random>
 #include <vector>
 
 #include "dataflow/layer.h"
@@ -470,6 +473,47 @@ TEST(ServingPlanTest, MatchesServeTenantsBitwiseAndReusesPrograms) {
     expect_sim_results_bits_eq(serve_tenants(pkg, loaded, opt),
                                plan.run_at_rate(fps));
     expect_sim_results_bits_eq(fresh, plan.run());
+  }
+}
+
+// The calendar pops the key sequence of a binary heap under EvAfter:
+// random push/pop interleavings over few distinct times, kinds and ids, so
+// most pushes meet equal times and many meet finishes equal under EvAfter
+// that differ only in `chiplet` (their relative order is the one freedom).
+TEST(EventCalendar, PopsTheKeySequenceOfAPriorityQueue) {
+  using evsim::Ev;
+  using evsim::EvAfter;
+  std::mt19937 rng(20251017);
+  for (int round = 0; round < 200; ++round) {
+    evsim::EventCalendar cal;
+    std::priority_queue<Ev, std::vector<Ev>, EvAfter> ref;
+    const int pushes = 1 + static_cast<int>(rng() % 64);
+    int pushed = 0;
+    while (pushed < pushes || !ref.empty()) {
+      ASSERT_EQ(cal.size(), ref.size());
+      if (pushed < pushes && (ref.empty() || rng() % 3 != 0)) {
+        const Ev e{static_cast<double>(rng() % 4) * 0.5,
+                   static_cast<int>(rng() % 3),
+                   static_cast<int>(rng() % 3),
+                   static_cast<int>(rng() % 2),
+                   static_cast<int>(rng() % 2),
+                   static_cast<int>(rng() % 4)};
+        cal.push(e);
+        ref.push(e);
+        ++pushed;
+        continue;
+      }
+      const Ev& got = cal.top();
+      const Ev& want = ref.top();
+      ASSERT_FALSE(EvAfter{}(got, want) || EvAfter{}(want, got))
+          << "round " << round << ": popped (" << got.time << ", "
+          << got.kind << ", " << got.a << ", " << got.b << ", " << got.c
+          << "), reference (" << want.time << ", " << want.kind << ", "
+          << want.a << ", " << want.b << ", " << want.c << ")";
+      cal.pop();
+      ref.pop();
+    }
+    EXPECT_TRUE(cal.empty());
   }
 }
 
