@@ -50,7 +50,7 @@ struct EvAfter {
 // each comparison; new events land at predictable depths, so the branches
 // predict well, while a select-based (branch-free) search chains every
 // probe's load behind the previous comparison and measured level with the
-// binary heap this calendar replaced (docs/METRICS.md). The loop keeps few
+// binary heap this calendar replaced. The loop keeps few
 // events live (one admission per tenant, a finish per busy chiplet, the
 // armed dispatches, the fault and recovery, and finishes a fault made
 // stale; EngineStats::event_heap_high_water, 19-27 on the benchmark
